@@ -229,10 +229,15 @@ class FluidiCLRuntime(AbstractRuntime):
 
     def enqueue_write_buffer(self, handle: FluidiBuffer,
                              host_array: np.ndarray) -> None:
-        """``clEnqueueWriteBuffer``: one host call, one transfer per device."""
+        """``clEnqueueWriteBuffer``: one host call, one transfer per device.
+
+        The host data is frozen once, at the call; every device copy
+        aliases that snapshot until a kernel writes it (see
+        :class:`~repro.ocl.buffer.Buffer`).
+        """
+        snapshot = handle.copies[0].freeze(host_array)
         self.machine.host_api_call()
         version = next(self._versions)
-        snapshot = np.array(host_array, copy=True)
         # A lost device gets no copy — and, crucially, must not be marked
         # current, or later reads would serve stale data from it.
         ok = [not front.lost for front in self.device_set.fronts]
@@ -268,6 +273,7 @@ class FluidiCLRuntime(AbstractRuntime):
         front-complete kernel, or a finished device-to-host read-back), no
         interconnect transfer is issued at all.
         """
+        handle.copies[0].check_host(host_array)
         self.machine.host_api_call()
         primary = self._cpu_index
         use_cpu_copy = primary != 0 and handle.current(primary) and (

@@ -6,8 +6,9 @@ two DMA engines (host-to-device and device-to-host) modeled as simulation
 resources, :class:`~repro.ocl.queue.CommandQueue` provides in-order OpenCL
 command-queue semantics with profiling events, and
 :class:`~repro.ocl.buffer.Buffer` objects live in a device's **discrete
-address space** (a private NumPy array), so nothing is coherent unless some
-runtime explicitly moves bytes — exactly the setting FluidiCL targets.
+address space** (copy-on-write: a host write's frozen snapshot is shared
+read-only until a kernel writes the buffer), so nothing is coherent unless
+some runtime explicitly moves bytes — exactly the setting FluidiCL targets.
 
 ``repro.ocl.runtime.SingleDeviceRuntime`` is the "vendor runtime used
 directly" baseline of the paper's evaluation; FluidiCL (:mod:`repro.core`)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -17,16 +18,21 @@ _buffer_ids = itertools.count(1)
 class Buffer:
     """A ``cl_mem`` object: bytes resident on exactly one device.
 
-    Content is a private NumPy array — other devices (and the host) cannot
-    see it without an explicit transfer command, which is what makes the
-    coherence work of the runtimes above observable and testable.
+    Content is copy-on-write.  A host write is cast and copied once into a
+    read-only array (:meth:`freeze`); every device copy that receives it,
+    and any same-device :meth:`copy_from` of such a copy, aliases that one
+    array.  The first writable access (:attr:`array`) materializes a
+    private copy, which no other device (nor the host) can see without an
+    explicit transfer command — what makes the coherence work of the
+    runtimes above observable and testable.  A buffer nobody wrote holds
+    no array at all and reads as zeros.
 
     The element dtype/shape is kept as metadata; the paper stores the base
     type of each buffer "as a metadata at the beginning of each buffer" to
     pick the diff/merge granularity (section 4.3).
     """
 
-    __slots__ = ("id", "name", "device", "shape", "dtype", "flags",
+    __slots__ = ("id", "name", "device", "shape", "dtype", "flags", "nbytes",
                  "_array", "_mem_handle", "released")
 
     def __init__(self, device, shape: Tuple[int, ...], dtype,
@@ -37,45 +43,127 @@ class Buffer:
         self.dtype = np.dtype(dtype)
         self.flags = flags
         self.name = name or f"buf{self.id}"
-        self._array = np.zeros(self.shape, dtype=self.dtype)
+        self.nbytes = int(math.prod(self.shape)) * self.dtype.itemsize
+        #: ``None`` (zeros, never allocated), a frozen shared array, or a
+        #: private writable one
+        self._array: Optional[np.ndarray] = None
         self._mem_handle = device.memory.allocate(self.nbytes)
         self.released = False
 
     @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
-
-    @property
     def array(self) -> np.ndarray:
-        """The device-resident contents.  Only device-side code (kernel
-        bodies, transfer commands) should touch this directly."""
+        """The device-resident contents, writable.
+
+        Materializes a private copy on the first access after the buffer
+        aliased a frozen array (or was never written).  Only device-side
+        code (kernel bodies, transfer commands) should touch this directly.
+        """
         if self.released:
             raise RuntimeError(f"use after release of {self.name!r}")
-        return self._array
+        array = self._array
+        if array is None:
+            array = self._array = np.zeros(self.shape, dtype=self.dtype)
+        elif not array.flags.writeable:
+            array = self._array = array.copy()
+        return array
+
+    @property
+    def view(self) -> np.ndarray:
+        """The contents for a reader, never copied.
+
+        This is the shared frozen array while the buffer aliases one — so
+        a kernel body writing an argument it declared ``in`` fails with
+        NumPy's read-only error instead of changing every device's copy —
+        and the private array otherwise.
+        """
+        if self.released:
+            raise RuntimeError(f"use after release of {self.name!r}")
+        array = self._array
+        return self.array if array is None else array
+
+    def freeze(self, host_array: np.ndarray) -> np.ndarray:
+        """Host data as a read-only array of this buffer's dtype and shape.
+
+        The one copy of a host write, made at the call so the host may
+        reuse its array at once; :meth:`write_from` aliases the result.
+        Raises ``ValueError`` if the element count does not match.
+        """
+        self.check_host(host_array)
+        frozen = np.array(host_array, dtype=self.dtype,
+                          order="C").reshape(self.shape)
+        frozen.flags.writeable = False
+        return frozen
+
+    def check_host(self, host_array: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``host_array`` has this buffer's
+        element count."""
+        if np.size(host_array) != math.prod(self.shape):
+            raise ValueError(
+                f"host array of shape {np.shape(host_array)} does not fit "
+                f"buffer {self.name!r} of shape {self.shape}"
+            )
+
+    def _is_frozen(self, array) -> bool:
+        return (isinstance(array, np.ndarray) and not array.flags.writeable
+                and array.dtype == self.dtype and array.shape == self.shape)
+
+    def _overwrite_target(self) -> np.ndarray:
+        """A private array whose current contents are about to be replaced."""
+        array = self._array
+        if array is None or not array.flags.writeable:
+            array = self._array = np.empty(self.shape, dtype=self.dtype)
+        return array
 
     def write_from(self, host_array: np.ndarray,
                    region: Optional[slice] = None) -> None:
-        """Device-side effect of a completed host-to-device transfer."""
+        """Device-side effect of a completed host-to-device transfer.
+
+        A read-only array of exactly this buffer's dtype and shape — what
+        :meth:`freeze` returns — is taken as immutable and aliased; any
+        other source is copied into a private array.
+        """
+        if region is None and self._is_frozen(host_array):
+            self._array = host_array
+            return
         src = np.asarray(host_array, dtype=self.dtype).reshape(self.shape)
         if region is None:
-            np.copyto(self._array, src)
+            np.copyto(self._overwrite_target(), src)
         else:
-            self._array.reshape(-1)[region] = src.reshape(-1)[region]
+            self.array.reshape(-1)[region] = src.reshape(-1)[region]
 
     def read_into(self, host_array: np.ndarray) -> None:
-        """Device-side effect of a completed device-to-host transfer."""
-        np.copyto(host_array.reshape(self.shape), self._array)
+        """Device-side effect of a completed device-to-host transfer.
+
+        The device side is reshaped to the destination, so a
+        non-contiguous host array is written in place.
+        """
+        if self._array is None:
+            np.copyto(host_array, 0)
+        else:
+            np.copyto(host_array, self._array.reshape(np.shape(host_array)))
 
     def copy_from(self, other: "Buffer") -> None:
-        """Device-local clone of another buffer's contents (same device)."""
+        """Device-local clone of another buffer's contents (same device).
+
+        A frozen source is aliased, not copied.
+        """
         if other.device is not self.device:
             raise ValueError(
                 "copy_from requires same-device buffers; use a transfer command"
             )
-        np.copyto(self._array.reshape(-1), other._array.reshape(-1))
+        src = other._array
+        if src is None:
+            self._array = None
+        elif self._is_frozen(src):
+            self._array = src
+        else:
+            np.copyto(self._overwrite_target().reshape(-1), src.reshape(-1))
 
     def snapshot(self) -> np.ndarray:
-        """Copy of the current contents (used by tests and the merge step)."""
+        """Private copy of the current contents (used by tests and the merge
+        step)."""
+        if self._array is None:
+            return np.zeros(self.shape, dtype=self.dtype)
         return self._array.copy()
 
     def release(self) -> None:

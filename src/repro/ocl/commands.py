@@ -105,10 +105,11 @@ class Command:
 class WriteBufferCommand(Command):
     """Host-to-device transfer (``clEnqueueWriteBuffer``).
 
-    ``source`` may be an array (copied at execution time) or a zero-argument
-    callable producing one — FluidiCL's scheduler passes the *intermediate
-    copy* it made so later subkernels can keep writing the live buffer
-    (paper section 5.5).
+    ``source`` may be an array (aliased if frozen, else copied at execution
+    time; see :meth:`Buffer.write_from`) or a zero-argument callable
+    producing one — FluidiCL's scheduler passes the *intermediate copy* it
+    made so later subkernels can keep writing the live buffer (paper
+    section 5.5).
     """
 
     command_type = CommandType.WRITE_BUFFER

@@ -42,6 +42,13 @@ class Kernel:
                 )
         self.variant = variant
         self.args: Dict[str, Any] = dict(args)
+        specs = variant.spec.args
+        self._scalars = {a.name: args[a.name] for a in specs
+                         if not a.is_buffer}
+        self._written = [(a.name, args[a.name]) for a in specs
+                         if a.is_buffer and a.intent.is_written]
+        self._read = [(a.name, args[a.name]) for a in specs
+                      if a.is_buffer and not a.intent.is_written]
 
     @property
     def spec(self) -> KernelSpec:
@@ -75,10 +82,19 @@ class Kernel:
         return wg_time(self.cost, spec, self.variant.time_multiplier)
 
     def _resolved_args(self) -> Dict[str, Any]:
-        return {
-            name: (value.array if isinstance(value, Buffer) else value)
-            for name, value in self.args.items()
-        }
+        """The arguments as the body sees them.
+
+        Declared ``out``/``inout`` buffers get their writable array (see
+        :attr:`Buffer.array`), declared ``in`` buffers a view that is never
+        copied (:attr:`Buffer.view`).  Written buffers resolve first, so an
+        ``in`` argument bound to the same buffer sees the private copy.
+        """
+        resolved = dict(self._scalars)
+        for name, buffer in self._written:
+            resolved[name] = buffer.array
+        for name, buffer in self._read:
+            resolved[name] = buffer.view
+        return resolved
 
     def run_workgroup(self, ndrange: NDRange, fid: int) -> None:
         """Execute the body for one flattened work-group ID (device side)."""

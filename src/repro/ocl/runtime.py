@@ -119,8 +119,11 @@ class SingleDeviceRuntime(AbstractRuntime):
         return self.context.create_buffer(self.device, shape, dtype, flags, name)
 
     def enqueue_write_buffer(self, handle: Buffer, host_array: np.ndarray) -> None:
+        # Frozen at the call, as FluidiCL does: later host writes to
+        # ``host_array`` must not reach the device.
+        frozen = handle.freeze(host_array)
         self.machine.host_api_call()
-        self.queue.enqueue_write_buffer(handle, host_array)
+        self.queue.enqueue_write_buffer(handle, frozen)
         self.stats.writes += 1
 
     def enqueue_nd_range_kernel(self, versions: KernelVersions, ndrange: NDRange,
@@ -132,6 +135,7 @@ class SingleDeviceRuntime(AbstractRuntime):
         self.stats.kernels_enqueued += 1
 
     def enqueue_read_buffer(self, handle: Buffer, host_array: np.ndarray) -> None:
+        handle.check_host(host_array)
         self.machine.host_api_call()
         self.queue.enqueue_read_buffer(handle, host_array)
         self.stats.reads += 1

@@ -52,6 +52,8 @@ def atax_kernel1(n: int) -> KernelSpec:
         args=(buffer_arg("A"), buffer_arg("x"), buffer_arg("tmp", Intent.OUT)),
         body=_atax1_body,
         cost=_cost(n, gpu_mem=0.10, cpu_mem=0.28),
+        # Row-local along dim 0 (writes only tmp[ctx.rows()]).
+        span_safe=True,
     )
 
 
@@ -61,6 +63,8 @@ def atax_kernel2(n: int) -> KernelSpec:
         args=(buffer_arg("A"), buffer_arg("tmp"), buffer_arg("y", Intent.OUT)),
         body=_atax2_body,
         cost=_cost(n, gpu_mem=0.03, cpu_mem=0.25),
+        # Dim 0 indexes output columns of y; still row-local in span terms.
+        span_safe=True,
     )
 
 

@@ -51,6 +51,8 @@ def mvt_kernel1(n: int) -> KernelSpec:
         args=(buffer_arg("A"), buffer_arg("y1"), buffer_arg("x1", Intent.INOUT)),
         body=_mvt1_body,
         cost=_cost(n, gpu_mem=0.10, cpu_mem=0.28),
+        # Row-local along dim 0 (reads and writes only x1[ctx.rows()]).
+        span_safe=True,
     )
 
 
@@ -60,6 +62,8 @@ def mvt_kernel2(n: int) -> KernelSpec:
         args=(buffer_arg("A"), buffer_arg("y2"), buffer_arg("x2", Intent.INOUT)),
         body=_mvt2_body,
         cost=_cost(n, gpu_mem=0.02, cpu_mem=0.25),
+        # Dim 0 indexes columns of A and x2; still row-local in span terms.
+        span_safe=True,
     )
 
 

@@ -17,9 +17,10 @@ from repro.core.runtime import FluidiCLRuntime
 from repro.hw.machine import build_machine
 from repro.hw.specs import DeviceKind
 from repro.ocl.runtime import SingleDeviceRuntime
-from repro.polybench.suite import make_app
+from repro.polybench.suite import EXTENDED_SUITE, make_app
 
 IRREGULAR = ("spmv", "histogram", "bfs", "scan")
+DENSE = tuple(name for name in EXTENDED_SUITE if name not in IRREGULAR)
 PIPELINES = ("2mm", "3mm", "bfs", "scan")
 PRESETS = ("default", "cpu+2gpu", "cpu+3gpu")
 
@@ -116,3 +117,33 @@ class TestPipelineAppsCooperativeVsSingle:
         single, _ = run_single(app_name, DeviceKind.GPU)
         assert_bitwise(coop, single,
                        f"{app_name} cooperative {preset} vs gpu-only")
+
+
+class TestDenseAppsCooperativeVsSingle:
+    """Every dense app: cooperative == single-device GPU, bit for bit.
+
+    Span-safe kernels (``KernelSpec.span_safe``) run a different number of
+    work-groups per NumPy call on each front.  At test scale the workers
+    rarely win any groups, so the row-local matvec apps also run at small
+    scale, where every preset but ``big.little`` splits their range.
+    """
+
+    @pytest.mark.parametrize("app_name, scale", [
+        *((name, "test") for name in DENSE),
+        *((name, "small") for name in ("bicg", "gesummv", "atax", "mvt")),
+    ])
+    def test_bitwise_vs_gpu_baseline_on_every_preset(self, app_name, scale):
+        app = make_app(app_name, scale)
+        runtime = SingleDeviceRuntime(build_machine(), DeviceKind.GPU)
+        single = app.host_program(runtime, app.fresh_inputs())
+        runtime.finish()
+        worker_groups = 0
+        for preset in PRESETS + ("big.little",):
+            runtime = FluidiCLRuntime(build_machine(preset=preset))
+            outputs = app.host_program(runtime, app.fresh_inputs())
+            runtime.drain()
+            worker_groups += sum(r.cpu_groups for r in runtime.records)
+            assert_bitwise(outputs, single,
+                           f"{app_name} cooperative {preset} vs gpu-only")
+        if scale == "small":
+            assert worker_groups > 0
