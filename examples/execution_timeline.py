@@ -12,7 +12,7 @@ Run:  python examples/execution_timeline.py [benchmark]
 import sys
 
 from repro.core import FluidiCLRuntime
-from repro.harness.timeline import extract_spans, overlap_seconds, render_gantt
+from repro.harness.timeline import extract_spans, render_gantt
 from repro.hw import build_machine
 from repro.polybench import make_app
 
@@ -37,15 +37,13 @@ def main() -> None:
 
     gpu_kernels = [
         s for s in spans
-        if s.queue == "fluidicl-app" and s.kind == "ndrange_kernel"
+        if s.track == "fluidicl-app" and s.attrs["type"] == "ndrange_kernel"
     ]
     hd_writes = [
         s for s in spans
-        if s.queue == "fluidicl-hd" and s.kind == "write_buffer"
+        if s.track == "fluidicl-hd" and s.attrs["type"] == "write_buffer"
     ]
-    overlapped = sum(
-        overlap_seconds(k, t) for k in gpu_kernels for t in hd_writes
-    )
+    overlapped = sum(k.overlap(t) for k in gpu_kernels for t in hd_writes)
     shipped = sum(t.duration for t in hd_writes)
     if shipped:
         print(f"\n  CPU->GPU result shipping overlapped with GPU compute: "

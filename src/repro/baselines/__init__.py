@@ -1,14 +1,11 @@
 """Baselines the paper compares FluidiCL against.
 
-* :mod:`repro.baselines.single` — the vendor runtimes used directly
-  (CPU-only / GPU-only, §8).
 * :mod:`repro.baselines.static_partition` — hand-partitioned static x%/y%
   splits and the OracleSP sweep (§9.1, Figs. 2/3).
 * :mod:`repro.baselines.starpu` — a StarPU-like task runtime with ``eager``
   and ``dmda`` schedulers behind an SOCL-style OpenCL facade (§9.4).
 """
 
-from repro.baselines.single import run_on_device, single_device_time
 from repro.baselines.static_partition import (
     OracleResult,
     StaticPartitionRuntime,
@@ -28,7 +25,5 @@ __all__ = [
     "StaticPartitionRuntime",
     "calibrate_perfmodel",
     "oracle_static_partition",
-    "run_on_device",
-    "single_device_time",
     "split_sweep",
 ]

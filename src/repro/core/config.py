@@ -8,7 +8,7 @@ initial CPU chunk of 10% of the work-groups growing in 10% steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["FluidiCLConfig"]
 
@@ -72,10 +72,6 @@ class FluidiCLConfig:
             raise ValueError(
                 f"lint must be 'off', 'warn' or 'strict', got {self.lint!r}"
             )
-
-    def with_options(self, **changes) -> "FluidiCLConfig":
-        """A modified copy (used heavily by the ablation benchmarks)."""
-        return replace(self, **changes)
 
     @classmethod
     def all_optimizations(cls) -> "FluidiCLConfig":

@@ -12,8 +12,8 @@ Device 0 is the **anchor** front: it runs the whole NDRange from
 flattened group ID 0 upward with the fluidic abort check, exactly like
 the classic GPU.  The remaining devices are **worker** fronts claiming
 shrinking windows off the shared top frontier (see
-:mod:`repro.core.deviceset`).  The classic CPU+GPU pair is the
-two-device special case and its schedule is unchanged, event for event.
+:mod:`repro.core.deviceset`).  The paper's CPU+GPU pair is the
+two-device case of this one code path.
 
 Kernel execution calls are blocking, as in the paper (§7); the
 device-to-host read-back of results proceeds in the background, overlapped
@@ -77,8 +77,6 @@ class _KernelPlan:
     record: KernelRecord
     #: shared span-claim ledger for the worker fronts (§4, Fig. 7)
     ledger: FrontLedger
-    #: index of the CPU-path (primary) worker front
-    primary_index: int
     #: version each worker copy must reach before subkernels start (§5.3)
     required_cpu_versions: Dict[FluidiBuffer, int] = field(default_factory=dict)
 
@@ -88,22 +86,6 @@ class _KernelPlan:
                      else self.args[a.name])
             for a in spec.args
         }
-
-    def cpu_args(self, spec: KernelSpec) -> Dict[str, Any]:
-        return self.front_args(spec, self.primary_index)
-
-    def gpu_args(self, spec: KernelSpec) -> Dict[str, Any]:
-        return self.front_args(spec, 0)
-
-    @property
-    def cpu_in(self) -> Dict[str, Buffer]:
-        """Legacy view: the primary worker's landing buffers."""
-        return self.landing.get(self.primary_index, {})
-
-    @property
-    def profiler(self) -> Optional[OnlineKernelProfiler]:
-        """Legacy view: the primary worker's profiler."""
-        return self.profilers.get(self.primary_index)
 
 
 class FluidiCLRuntime(AbstractRuntime):
@@ -117,8 +99,8 @@ class FluidiCLRuntime(AbstractRuntime):
         self.device_set = DeviceSet(self.platform.devices)
         self.gpu_device = self.device_set.anchor.device
         # The CPU-path device: the last CPU-kind device of the set, or the
-        # last device outright (pure-GPU sets like big.little).  Its copy
-        # index doubles as the buffers' ``cpu_index``.
+        # last device outright (pure-GPU sets like big.little).  Host reads
+        # prefer its copy when it is current (location tracking, §6.2).
         cpu_index = len(self.platform.devices) - 1
         for i, device in enumerate(self.platform.devices):
             if device.spec.kind is DeviceKind.CPU:
@@ -134,13 +116,11 @@ class FluidiCLRuntime(AbstractRuntime):
         # queue: host reads of a worker copy must not serialize behind
         # (possibly stale) subkernels, so they travel separately with
         # explicit event dependencies on the writes they need.
-        sole = len(self.device_set.workers) == 1
         for front in self.device_set.workers:
-            qname = "fluidicl-cpu" if sole else f"fluidicl-w{front.index}"
+            qname = f"fluidicl-w{front.index}"
             front.queue = self.context.create_queue(front.device, qname)
-            front.io_queue = self.context.create_queue(
-                front.device, f"{qname}-io" if not sole else "fluidicl-cpu-io"
-            )
+            front.io_queue = self.context.create_queue(front.device,
+                                                       f"{qname}-io")
         if self.device_set.workers:
             if cpu_index != 0:
                 self.primary_front = self.device_set.fronts[cpu_index]
@@ -148,8 +128,6 @@ class FluidiCLRuntime(AbstractRuntime):
                 self.primary_front = self.device_set.workers[0]
         else:
             self.primary_front = self.device_set.anchor
-        self.cpu_queue = self.primary_front.queue
-        self.cpu_io_queue = self.primary_front.io_queue
         self.pool = BufferPool(self.gpu_device, enabled=self.config.use_buffer_pool)
         self._versions = itertools.count(1)
         self.buffers: List[FluidiBuffer] = []
@@ -166,8 +144,6 @@ class FluidiCLRuntime(AbstractRuntime):
         self.stats.extra.update(
             gpu_input_refreshes=0,
             front_input_refreshes=0,
-            reads_from_cpu=0,
-            reads_from_gpu=0,
             stale_dh_discards=0,
             merges=0,
             subkernels_launched=0,
@@ -180,10 +156,6 @@ class FluidiCLRuntime(AbstractRuntime):
             failovers=0,
             watchdog_trips=0,
         )
-        # Per-device read accounting: the kind-level ``reads_from_cpu`` /
-        # ``reads_from_gpu`` keys above stay as aggregates for existing
-        # consumers, but N-device runs need per-name counters or reads
-        # from extra fronts are silently dropped.
         for device in self.platform.devices:
             self.stats.extra.update({
                 f"reads_from[{device.name}]": 0,
@@ -201,11 +173,6 @@ class FluidiCLRuntime(AbstractRuntime):
         #: same kernel emit each diagnosis once per runtime, not per launch
         self._lint_seen: set = set()
 
-    @property
-    def _classic_pair(self) -> bool:
-        """True for the paper's two-device GPU+CPU shape (stable wording)."""
-        return len(self.device_set.fronts) == 2
-
     # ------------------------------------------------------------------
     # OpenCL-shaped API
     # ------------------------------------------------------------------
@@ -213,17 +180,12 @@ class FluidiCLRuntime(AbstractRuntime):
                       flags: MemFlag = MemFlag.READ_WRITE) -> FluidiBuffer:
         """``clCreateBuffer``: allocates mirrors on every device (§4.1)."""
         self.machine.host_api_call()
-        copies: List[Buffer] = []
-        for front in self.device_set.fronts:
-            if self._classic_pair:
-                suffix = "@gpu" if front.index == 0 else "@cpu"
-            else:
-                suffix = f"@{front.device.name}"
-            copies.append(self.context.create_buffer(
-                front.device, shape, dtype, flags, f"{name}{suffix}"
-            ))
-        fbuf = FluidiBuffer(self.engine, name, flags=flags, copies=copies,
-                            cpu_index=self._cpu_index)
+        copies = [
+            self.context.create_buffer(front.device, shape, dtype, flags,
+                                       f"{name}@{front.device.name}")
+            for front in self.device_set.fronts
+        ]
+        fbuf = FluidiBuffer(self.engine, name, copies, flags=flags)
         self.buffers.append(fbuf)
         return fbuf
 
@@ -242,10 +204,7 @@ class FluidiCLRuntime(AbstractRuntime):
         # current, or later reads would serve stale data from it.
         ok = [not front.lost for front in self.device_set.fronts]
         if not any(ok):
-            raise DeviceLostError(
-                "both devices lost; nowhere to write" if self._classic_pair
-                else "all devices lost; nowhere to write"
-            )
+            raise DeviceLostError("all devices lost; nowhere to write")
         if ok[0]:
             event = self.app_queue.enqueue_write_buffer(handle.copies[0],
                                                         snapshot)
@@ -261,8 +220,7 @@ class FluidiCLRuntime(AbstractRuntime):
                 handle.record_host_write(front.index, event)
         handle.commit_host_write(version, mask=ok)
         self.engine.trace("buffer_write", buffer=handle.name, version=version,
-                          nbytes=handle.nbytes, gpu=ok[0],
-                          cpu=ok[self._cpu_index])
+                          nbytes=handle.nbytes)
         self.stats.writes += 1
 
     def enqueue_read_buffer(self, handle: FluidiBuffer,
@@ -286,12 +244,10 @@ class FluidiCLRuntime(AbstractRuntime):
             # kinds of writer — a stale subkernel may still be executing
             # even though the version tracking says "current".
             self._quiesce_copy(handle, primary)
-            event = self.cpu_io_queue.enqueue_read_buffer(
+            event = self.primary_front.io_queue.enqueue_read_buffer(
                 handle.copies[primary], host_array
             )
-            self.stats.extra["reads_from_cpu"] += 1
-            self.stats.extra[f"reads_from[{self.cpu_device.name}]"] += 1
-            source, device = "cpu", self.cpu_device
+            device = self.cpu_device
         elif handle.current(0):
             # The anchor copy is written on ``app_queue`` (host writes,
             # merges) while this read uses ``dh_queue``: quiesce the
@@ -299,9 +255,7 @@ class FluidiCLRuntime(AbstractRuntime):
             self._quiesce_copy(handle, 0)
             event = self.dh_queue.enqueue_read_buffer(handle.copies[0],
                                                       host_array)
-            self.stats.extra["reads_from_gpu"] += 1
-            self.stats.extra[f"reads_from[{self.gpu_device.name}]"] += 1
-            source, device = "gpu", self.gpu_device
+            device = self.gpu_device
         else:
             # N-device sets: some other worker front may hold the only
             # current copy (e.g. it front-completed the last kernel).
@@ -311,19 +265,16 @@ class FluidiCLRuntime(AbstractRuntime):
                     event = front.io_queue.enqueue_read_buffer(
                         handle.copies[front.index], host_array
                     )
-                    kind = front.device.spec.kind
-                    legacy = ("reads_from_cpu" if kind is DeviceKind.CPU
-                              else "reads_from_gpu")
-                    self.stats.extra[legacy] += 1
-                    self.stats.extra[f"reads_from[{front.device.name}]"] += 1
-                    source, device = kind.value, front.device
+                    device = front.device
                     break
             else:
                 raise RuntimeError(
                     f"buffer {handle.name!r} has no coherent copy anywhere"
                 )
-        self.engine.trace("buffer_read", buffer=handle.name, source=source,
-                          nbytes=handle.nbytes, version=handle.latest)
+        self.stats.extra[f"reads_from[{device.name}]"] += 1
+        self.engine.trace("buffer_read", buffer=handle.name,
+                          source=device.name, nbytes=handle.nbytes,
+                          version=handle.latest)
         if self.config.watchdog:
             KernelWatchdog(self, device, event.done,
                            self.config.watchdog_timeout,
@@ -347,10 +298,6 @@ class FluidiCLRuntime(AbstractRuntime):
             self.machine.run_until(pending[0])
         else:
             self.machine.run_until(self.engine.all_of(pending))
-
-    def _quiesce_cpu_copy(self, handle: FluidiBuffer) -> None:
-        """Legacy name: quiesce the CPU-path copy."""
-        self._quiesce_copy(handle, self._cpu_index)
 
     def finish(self) -> None:
         """``clFinish`` on the application-visible work.
@@ -572,33 +519,30 @@ class FluidiCLRuntime(AbstractRuntime):
 
         The anchor copy can only be stale when the previous writer
         committed on a worker front, in which case that copy is current
-        and quiescent, so snapshotting host-side here is race-free.  With
-        more than two devices the *other* worker copies can also be stale
-        with no read-back in flight (a front-complete commit marks every
-        other copy DIRTY); they are refreshed here too, or their
-        schedulers would wait on a version that never arrives.
+        and quiescent, so snapshotting host-side here is race-free.  The
+        *other* worker copies can also be stale with no read-back in
+        flight (a front-complete commit marks every other copy DIRTY);
+        they are refreshed here too, or their schedulers would wait on a
+        version that never arrives.
         """
         if self.gpu_device.health.lost:
             # The writes would be cancelled; marking the anchor copies
             # refreshed anyway would corrupt the version tracking.  The
             # kernel about to launch fails over regardless.
             return
-        wide = len(self.device_set.fronts) > 2
         for fbuf in fbuffers:
-            need_anchor = not fbuf.gpu_current
+            need_anchor = not fbuf.current(0)
             stale_workers = [
                 front for front in self.device_set.workers
-                if wide and not fbuf.current(front.index)
+                if not fbuf.current(front.index)
                 and not fbuf.dh_pending_for(front.index) and not front.lost
             ]
             if not need_anchor and not stale_workers:
                 continue
-            source = 0 if fbuf.gpu_current else self._fresh_worker_copy(fbuf)
+            source = self._fresh_worker_copy(fbuf) if need_anchor else 0
             if source is None:
                 raise RuntimeError(
-                    f"buffer {fbuf.name!r} stale on both devices"
-                    if self._classic_pair
-                    else f"buffer {fbuf.name!r} stale on every device"
+                    f"buffer {fbuf.name!r} stale on every device"
                 )
             # The previous writer committed on ``source``, but a *stale*
             # subkernel targeting this buffer may still be executing on an
@@ -609,7 +553,7 @@ class FluidiCLRuntime(AbstractRuntime):
                 event = self.app_queue.enqueue_write_buffer(fbuf.copies[0],
                                                             snapshot)
                 fbuf.record_host_write(0, event)
-                fbuf.mark_gpu_refreshed(fbuf.latest)
+                fbuf.mark_refreshed(0, fbuf.latest)
                 self.stats.extra["gpu_input_refreshes"] += 1
                 self.engine.trace("gpu_input_refresh", buffer=fbuf.name,
                                   version=fbuf.latest, nbytes=fbuf.nbytes)
@@ -674,10 +618,9 @@ class FluidiCLRuntime(AbstractRuntime):
             profilers=profilers,
             record=record,
             ledger=FrontLedger(ndrange.total_groups),
-            primary_index=self.primary_front.index,
             required_cpu_versions=required_cpu_versions,
         )
-        gpu_kernel = Kernel(gpu_variant, plan.gpu_args(base))
+        gpu_kernel = Kernel(gpu_variant, plan.front_args(base, 0))
         plan.gpu_event = self.app_queue.enqueue_nd_range_kernel(
             gpu_kernel, ndrange,
             LaunchConfig(status_board=board, kernel_id=kernel_id),
@@ -703,7 +646,6 @@ class FluidiCLRuntime(AbstractRuntime):
         once per loss rather than per kernel.
         """
         record = plan.record
-        classic = self._classic_pair
         if anchor_lost:
             health = self.gpu_device.health
             # Elect the leader among surviving fronts, preferring ones
@@ -723,8 +665,8 @@ class FluidiCLRuntime(AbstractRuntime):
                 default=None,
             )
             if leader is None and schedulers:
-                # Nothing survives, but the (single, in the classic pair)
-                # scheduler still reports the loss uniformly below.
+                # Nothing survives, but a scheduler still reports the loss
+                # uniformly below.
                 leader = schedulers[0]
             if leader is None:
                 plan.board.finalize()
@@ -736,8 +678,8 @@ class FluidiCLRuntime(AbstractRuntime):
             self.stats.extra["failovers"] += 1
             self.engine.trace(
                 "failover", kernel_id=plan.kernel_id,
-                lost="gpu" if classic else self.gpu_device.name,
-                survivor="cpu" if classic else leader.front.name,
+                lost=self.gpu_device.name,
+                survivor=leader.front.name,
                 reason=health.lost_reason,
                 frontier=leader.frontier,
             )
@@ -752,15 +694,12 @@ class FluidiCLRuntime(AbstractRuntime):
             for scheduler in schedulers:
                 self.machine.run_until(scheduler.process)
             if leader.data_lost or not leader.completed_all:
-                survivor_name = ("the CPU" if classic
-                                 else f"front {leader.front.name!r}")
-                anchor_name = ("GPU" if classic
-                               else f"anchor {self.gpu_device.name!r}")
                 raise DeviceLostError(
                     f"kernel {record.name!r} (k{plan.kernel_id}) "
-                    f"unrecoverable: {anchor_name} lost "
-                    f"({health.lost_reason}) and {survivor_name} could not "
-                    f"complete the range (frontier={leader.frontier}, "
+                    f"unrecoverable: anchor {self.gpu_device.name!r} lost "
+                    f"({health.lost_reason}) and front "
+                    f"{leader.front.name!r} could not complete the range "
+                    f"(frontier={leader.frontier}, "
                     f"data_lost={leader.data_lost})"
                 )
             for fbuf in plan.out_fbuffers:
@@ -792,8 +731,8 @@ class FluidiCLRuntime(AbstractRuntime):
                 self.stats.extra["failovers"] += 1
                 self.engine.trace(
                     "failover", kernel_id=plan.kernel_id,
-                    lost="cpu" if classic else front.device.name,
-                    survivor="gpu" if classic else self.gpu_device.name,
+                    lost=front.device.name,
+                    survivor=self.gpu_device.name,
                     reason=front.device.health.lost_reason,
                 )
 
@@ -861,8 +800,9 @@ class FluidiCLRuntime(AbstractRuntime):
         self._pending_commits.append(commit_done)
         self.machine.run_until(commit_done)
         for fbuf in plan.out_fbuffers:
-            fbuf.commit_gpu(plan.kernel_id)
-            fbuf.dh_pending = True
+            fbuf.commit_front(0, plan.kernel_id)
+            for front in self.device_set.workers:
+                fbuf.set_dh_pending(front.index, True)
         self.engine.trace("commit", kernel_id=plan.kernel_id,
                           path="merged" if record.merged else "gpu-only",
                           buffers=[f.name for f in plan.out_fbuffers])

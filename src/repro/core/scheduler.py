@@ -8,10 +8,10 @@ the kernel's :class:`~repro.core.deviceset.FrontLedger`, feeding results
 and status messages to the anchor through the ``hd`` queue, until either
 the work runs out or the anchor kernel exits.
 
-With a single worker (the classic CPU+GPU pair) the ledger hands out
+With a single worker (the paper's CPU+GPU pair) the ledger hands out
 exactly the shrinking top-of-range windows of the paper's CPU scheduler,
 and the status values published at delivery time equal the shipped
-frontier — the two-device schedule is unchanged, event for event.
+frontier.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ __all__ = ["CpuScheduler"]
 class CpuScheduler:
     """Drives one worker front's cooperative execution for one kernel."""
 
-    def __init__(self, runtime, plan, front=None):
+    def __init__(self, runtime, plan, front):
         self.runtime = runtime
         self.plan = plan
-        self.front = front if front is not None else runtime.primary_front
+        self.front = front
         #: the front's landing buffers on the anchor, by arg name
         self.landing = plan.landing[self.front.index]
         #: True when this scheduler owns ``record.chunker`` / the profiler
@@ -57,15 +57,9 @@ class CpuScheduler:
         #: each version is transformed and bound once instead of per
         #: subkernel.
         self._kernel_cache = {}
-        sole = len(runtime.device_set.workers) <= 1
-        name = (f"fluidicl-sched-k{plan.kernel_id}" if sole
-                else f"fluidicl-sched-k{plan.kernel_id}@{self.front.name}")
-        self.process = runtime.engine.process(self._run(), name=name)
-
-    @property
-    def cpu_lost(self) -> bool:
-        """Legacy alias for :attr:`front_lost`."""
-        return self.front_lost
+        self.process = runtime.engine.process(
+            self._run(), name=f"fluidicl-sched-k{plan.kernel_id}@{front.name}"
+        )
 
     def _gpu_finished(self) -> bool:
         """Anchor kernel ran to completion.  A *cancelled* anchor event
@@ -258,44 +252,39 @@ class CpuScheduler:
         plan = self.plan
         engine = runtime.engine
         host = runtime.machine.host
-        front = getattr(self, "front", None)
-        ledger = getattr(plan, "ledger", None)
-        landing = getattr(self, "landing", None) or plan.cpu_in
+        index = self.front.index
+        ledger = plan.ledger
 
         board = plan.board
         last_write = None
         for fbuf in plan.out_fbuffers:
             yield engine.timeout(fbuf.nbytes / host.memcpy_bandwidth)
-            source = fbuf.copies[front.index] if front is not None else fbuf.cpu
-            snapshot: np.ndarray = source.snapshot()
+            snapshot: np.ndarray = fbuf.copies[index].snapshot()
             # The kernel may have been finalized while we copied; its helper
             # buffers are scheduled for release, so stop sending (§5.3).
             if board.finalized:
                 return
             last_write = runtime.hd_queue.enqueue_write_buffer(
-                landing[fbuf.name], snapshot
+                self.landing[fbuf.name], snapshot
             )
 
         if board.finalized:
             return
-        if ledger is not None and front is not None:
-            # The shipment lands (and may advance the committed frontier)
-            # when its last data write completes on the in-order hd queue.
-            mark = ledger.shipment_mark(front.index)
-            index = front.index
-            if last_write is not None:
-                last_write.done.add_callback(
-                    lambda _e, m=mark, i=index: ledger.mark_landed(i, m)
-                )
-            else:
-                ledger.mark_landed(index, mark)
+        # The shipment lands (and may advance the committed frontier) when
+        # its last data write completes on the in-order hd queue.
+        mark = ledger.shipment_mark(index)
+        if last_write is not None:
+            last_write.done.add_callback(
+                lambda _e: ledger.mark_landed(index, mark)
+            )
+        else:
+            ledger.mark_landed(index, mark)
         status_seconds = runtime.gpu_device.link.transfer_time(
             runtime.config.status_message_bytes
         )
 
-        def deliver_status(_queue, value=frontier):
-            if ledger is not None:
-                value = ledger.committed_frontier()
+        def deliver_status(_queue):
+            value = ledger.committed_frontier()
             accepted = board.update(engine.now, value)
             engine.trace(
                 "status_delivery", kernel_id=plan.kernel_id,

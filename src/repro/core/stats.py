@@ -64,28 +64,6 @@ class KernelRecord:
         """CPU work that arrived too late to be counted."""
         return max(0, self.cpu_groups_executed - self.cpu_groups)
 
-    def as_dict(self) -> dict:
-        """Flat, JSON-serializable form (used by the trace exporter/CLI)."""
-        return {
-            "kernel_id": self.kernel_id,
-            "name": self.name,
-            "total_groups": self.total_groups,
-            "gpu_groups": self.gpu_groups,
-            "cpu_groups": self.cpu_groups,
-            "cpu_groups_executed": self.cpu_groups_executed,
-            "subkernels": self.subkernels,
-            "surplus_groups": self.surplus_groups,
-            "cpu_completed_all": self.cpu_completed_all,
-            "merged": self.merged,
-            "version_used": self.version_used,
-            "failover": self.failover,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "duration": self.duration,
-            "cpu_share": self.cpu_share,
-            "wasted_cpu_groups": self.wasted_cpu_groups,
-        }
-
     def summary(self) -> str:
         return (
             f"kernel {self.kernel_id} {self.name!r}: {self.total_groups} groups, "

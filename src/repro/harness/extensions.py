@@ -101,10 +101,12 @@ def ablation_location_tracking(n: int = 2048) -> ExperimentResult:
     """
     from repro.harness.workloads import MatrixScaleApp
 
+    devices = [spec.name for spec, _link in build_machine().devices]
     result = ExperimentResult(
         "ext_location",
         "Cost of disabling data-location tracking (section 6.2)",
-        ["config", "seconds", "pcie_d2h_bytes", "reads_from_cpu", "reads_from_gpu"],
+        ["config", "seconds", "pcie_d2h_bytes"]
+        + [f"reads_from[{d}]" for d in devices],
     )
     app = MatrixScaleApp(n=n)
     inputs = app.fresh_inputs()
@@ -119,11 +121,10 @@ def ablation_location_tracking(n: int = 2048) -> ExperimentResult:
         assert app_result.correct
         runtime.drain()
         d2h = runtime.gpu_device.stats["bytes_d2h"]
-        result.rows.append([
-            label, app_result.elapsed, d2h,
-            runtime.stats.extra["reads_from_cpu"],
-            runtime.stats.extra["reads_from_gpu"],
-        ])
+        result.rows.append(
+            [label, app_result.elapsed, d2h]
+            + [runtime.stats.extra[f"reads_from[{d}]"] for d in devices]
+        )
         rows[label] = (app_result.elapsed, d2h)
     saved = rows["tracking_off"][1] - rows["tracking_on"][1]
     result.notes.append(

@@ -1,6 +1,6 @@
-"""Execution-timeline reconstruction and ASCII Gantt rendering.
+"""Execution-timeline extraction and ASCII Gantt rendering.
 
-Built from the simulation tracer, this answers "what actually overlapped?"
+Built from the event recorder, this answers "what actually overlapped?"
 — the question behind the paper's §5.5 (computation/communication overlap).
 Tests use it to assert overlap properties; humans use it to eyeball a
 FluidiCL schedule:
@@ -13,125 +13,53 @@ FluidiCL schedule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.obs.events import EventSpan
 from repro.obs.recorder import EventRecorder
-from repro.sim.trace import Tracer
 
-__all__ = ["Span", "extract_spans", "overlap_seconds", "render_gantt"]
-
-
-@dataclass(frozen=True)
-class Span:
-    """One command's execution interval on one queue."""
-
-    queue: str
-    kind: str
-    label: str
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+__all__ = ["extract_spans", "render_gantt"]
 
 
-def _label(payload: Dict) -> str:
-    if "kernel" in payload:
-        window = payload.get("window")
-        suffix = f"{window}" if window else ""
-        return f"{payload['kernel']}{suffix}"
-    if "buffer" in payload:
-        return f"{payload['buffer']} ({payload.get('nbytes', 0)} B)"
-    if "src" in payload:
-        return f"{payload['src']}->{payload['dst']}"
-    return payload.get("label", "")
-
-
-def extract_spans(tracer: Tracer, kinds: Optional[List[str]] = None) -> List[Span]:
+def extract_spans(recorder: EventRecorder,
+                  kinds: Optional[List[str]] = None) -> List[EventSpan]:
     """Queue-command execution spans, one per executed command.
 
-    When given an :class:`~repro.obs.recorder.EventRecorder` (what
-    ``build_machine(trace=True)`` installs), spans come from the typed
-    event stream — the same stream the Chrome-trace export reads, so the
-    ASCII Gantt and the JSON timeline cannot disagree.  A plain
-    :class:`Tracer` falls back to pairing raw ``cmd_start``/``cmd_end``
-    records.
+    They come from the recorder's typed event stream — the same stream the
+    Chrome-trace export reads, so the ASCII Gantt and the JSON timeline
+    cannot disagree.  ``kinds`` filters on the command type
+    (``attrs["type"]``, e.g. ``"ndrange_kernel"``).
     """
-    if isinstance(tracer, EventRecorder):
-        spans = [
-            Span(
-                queue=es.track,
-                kind=str(es.attrs.get("type", "?")),
-                label=_label(es.attrs),
-                start=es.start,
-                end=es.end,
-            )
-            for es in tracer.command_spans()
-        ]
-    else:
-        spans = _spans_from_records(tracer)
+    spans = recorder.command_spans()
     if kinds is not None:
-        spans = [s for s in spans if s.kind in kinds]
+        spans = [s for s in spans if s.attrs.get("type") in kinds]
     return spans
 
 
-def _spans_from_records(tracer: Tracer) -> List[Span]:
-    """Legacy path: FIFO-pair flat cmd_start/cmd_end records per queue."""
-    open_commands: Dict[str, List] = {}
-    spans: List[Span] = []
-    for record in tracer.records:
-        if record.category not in ("cmd_start", "cmd_end"):
-            continue
-        payload = record.payload
-        queue = payload["queue"]
-        if record.category == "cmd_start":
-            open_commands.setdefault(queue, []).append(record)
-        else:
-            pending = open_commands.get(queue)
-            if not pending:
-                continue
-            start = pending.pop(0)  # queues are in-order: FIFO pairing
-            spans.append(Span(
-                queue=queue,
-                kind=payload.get("type", "?"),
-                label=_label(payload),
-                start=start.time,
-                end=record.time,
-            ))
-    return spans
-
-
-def overlap_seconds(a: Span, b: Span) -> float:
-    """Length of the time interval where both spans were active."""
-    return max(0.0, min(a.end, b.end) - max(a.start, b.start))
-
-
-def render_gantt(spans: List[Span], width: int = 72) -> str:
-    """ASCII Gantt chart: one row per queue, '#' where a command ran."""
+def render_gantt(spans: List[EventSpan], width: int = 72) -> str:
+    """ASCII Gantt chart: one row per track, '#' where a command ran."""
     if not spans:
         return "(empty timeline)"
     t_min = min(s.start for s in spans)
     t_max = max(s.end for s in spans)
     horizon = max(t_max - t_min, 1e-12)
-    queues: Dict[str, List[Span]] = {}
+    tracks: Dict[str, List[EventSpan]] = {}
     for span in spans:
-        queues.setdefault(span.queue, []).append(span)
-    name_width = max(len(q) for q in queues)
+        tracks.setdefault(span.track, []).append(span)
+    name_width = max(len(t) for t in tracks)
     lines = [
         f"{'':{name_width}}  t = [{t_min * 1e3:.3f} ms .. {t_max * 1e3:.3f} ms]"
     ]
-    for queue in sorted(queues):
+    for track in sorted(tracks):
         cells = [" "] * width
-        for span in queues[queue]:
+        for span in tracks[track]:
             lo = int((span.start - t_min) / horizon * (width - 1))
             hi = int((span.end - t_min) / horizon * (width - 1))
             for i in range(lo, hi + 1):
                 cells[i] = "#"
-        busy = sum(s.duration for s in queues[queue])
+        busy = sum(s.duration for s in tracks[track])
         lines.append(
-            f"{queue:{name_width}}  {''.join(cells)}  "
+            f"{track:{name_width}}  {''.join(cells)}  "
             f"{busy / horizon:5.0%} busy"
         )
     return "\n".join(lines)

@@ -179,8 +179,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     interesting = (
         "merges", "stale_dh_discards", "subkernels_launched",
         "status_messages", "gpu_input_refreshes",
-        "reads_from_cpu", "reads_from_gpu",
-    )
+    ) + tuple(f"reads_from[{d.name}]" for d in runtime.platform.devices)
     shown = {k: metrics[k] for k in interesting if k in metrics}
     print(f"  metrics: {shown}")
     return 0

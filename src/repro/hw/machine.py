@@ -23,7 +23,6 @@ from repro.hw.specs import (
 )
 from repro.obs.recorder import EventRecorder
 from repro.sim.core import Engine
-from repro.sim.trace import Tracer
 
 __all__ = ["Machine", "MACHINE_PRESETS", "build_machine"]
 
@@ -41,7 +40,7 @@ class Machine:
         return self.engine.now
 
     @property
-    def tracer(self) -> Optional[Tracer]:
+    def tracer(self) -> Optional[EventRecorder]:
         return self.engine.tracer
 
     def host_api_call(self) -> None:
@@ -112,9 +111,9 @@ def build_machine(
     passing ``devices=[(spec, link), ...]`` explicitly or naming a
     ``preset`` from :data:`MACHINE_PRESETS` — the two-device default path
     is unchanged either way.  With ``trace=True`` the engine records into
-    an :class:`~repro.obs.recorder.EventRecorder`, so both the flat trace
-    records and the typed event stream (Gantt, Chrome export, overlap
-    assertions) are captured from one source.  ``interleave_seed`` arms
+    an :class:`~repro.obs.recorder.EventRecorder`, whose typed event
+    stream feeds the Gantt, the Chrome export and the overlap
+    assertions.  ``interleave_seed`` arms
     the engine's same-instant interleaving jitter (schedule-space fuzzing,
     see :mod:`repro.check`).
     """

@@ -6,13 +6,13 @@ overlap claims (§5.5/§7) are verified against:
 - :mod:`repro.obs.events` — the typed event taxonomy (kernel spans, CPU
   subkernel launches, status deliveries, merges, refreshes, stale-data
   discards, pool hits/misses) shared by every producer and consumer.
-- :mod:`repro.obs.recorder` — :class:`EventRecorder`, a drop-in
-  :class:`repro.sim.trace.Tracer` that additionally derives typed events
-  from every trace record, so the ASCII Gantt, the overlap assertions and
-  the Chrome-trace export all read one stream.
+- :mod:`repro.obs.recorder` — :class:`EventRecorder`, the engine's
+  tracer: it turns every ``engine.trace`` call into one typed event, so
+  the ASCII Gantt, the overlap assertions, the coherence monitor and the
+  Chrome-trace export all read one stream.
 - :mod:`repro.obs.metrics` — counters / gauges / histograms behind a
-  per-run :class:`MetricsRegistry` (replacing ad-hoc ``stats.extra``
-  bookkeeping while keeping its mapping interface).
+  per-run :class:`MetricsRegistry`; ``runtime.stats.extra`` is a mapping
+  view over its counters.
 - :mod:`repro.obs.chrome` — ``chrome://tracing`` / Perfetto JSON export.
 """
 

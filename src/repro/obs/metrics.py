@@ -1,17 +1,16 @@
 """Per-run metrics: counters, gauges and histograms behind one registry.
 
-The FluidiCL runtime used to keep its bookkeeping in an ad-hoc
-``stats.extra`` dict.  The registry replaces that with typed instruments —
+The FluidiCL runtime keeps its bookkeeping in typed instruments —
 monotonic :class:`Counter`, last-value :class:`Gauge`, and a streaming
-:class:`Histogram` — while :class:`CounterView` preserves the historical
-mapping interface (``runtime.stats.extra["merges"]``) so existing hosts
-and tests keep reading the same numbers from the same names.
+:class:`Histogram` that keeps only count/sum/min/max — behind one
+:class:`MetricsRegistry`.  :class:`CounterView` is the mapping interface
+over the counters (``runtime.stats.extra["merges"]``).
 """
 
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "CounterView"]
 
@@ -54,39 +53,24 @@ class Gauge:
 class Histogram:
     """Streaming summary of observed samples (count/sum/min/max/mean)."""
 
-    __slots__ = ("name", "count", "total", "min", "max", "_samples",
-                 "max_samples")
+    __slots__ = ("name", "count", "total", "min", "max")
 
-    def __init__(self, name: str, max_samples: int = 4096):
+    def __init__(self, name: str):
         self.name = name
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self.max_samples = max_samples
-        self._samples: List[float] = []
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        if len(self._samples) < self.max_samples:
-            self._samples.append(value)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Approximate percentile over the retained sample window."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile {q} outside [0, 100]")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[index]
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -139,7 +123,7 @@ class MetricsRegistry:
                 )
 
     def counter_view(self) -> "CounterView":
-        """A dict-shaped live view of the counters (``stats.extra`` compat)."""
+        """A dict-shaped live view of the counters (``stats.extra``)."""
         return CounterView(self)
 
     def snapshot(self) -> Dict[str, Any]:
@@ -160,8 +144,7 @@ class CounterView(MutableMapping):
 
     ``view["merges"]`` reads the counter's value, ``view["merges"] += 1``
     routes through :meth:`Counter.inc`, and ``view.update(merges=0)``
-    registers names — exactly the operations the pre-registry code
-    performed on the plain ``stats.extra`` dict.
+    registers names.
     """
 
     def __init__(self, registry: MetricsRegistry):

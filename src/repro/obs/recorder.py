@@ -1,15 +1,13 @@
 """The event recorder: one stream feeding every observability consumer.
 
-:class:`EventRecorder` is a :class:`repro.sim.trace.Tracer` — it plugs into
-``Engine(tracer=...)`` unchanged and keeps the flat
-:class:`~repro.sim.trace.TraceRecord` log working for legacy consumers —
-but it *also* derives a typed :class:`~repro.obs.events.TraceEvent` from
-every record it sees.  The ASCII Gantt, the overlap property tests and the
-Chrome-trace exporter all read this one derived stream, so they can never
-disagree about what happened.
+:class:`EventRecorder` is what ``Engine(tracer=...)`` records into: every
+``engine.trace(category, **payload)`` call becomes one typed
+:class:`~repro.obs.events.TraceEvent`.  The ASCII Gantt, the overlap
+property tests, the coherence monitor and the Chrome-trace exporter all
+read this one stream, so they can never disagree about what happened.
 
-Producers emit through ``engine.trace(category, **payload)``; the mapping
-from category names to typed kinds lives here, in one table.
+The mapping from producer category names to typed kinds lives here, in
+one table.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.events import EventKind, EventSpan, Phase, TraceEvent, pair_spans
-from repro.sim.trace import Tracer
 
 __all__ = ["EventRecorder"]
 
@@ -72,8 +69,8 @@ _CATEGORIES: Dict[str, Tuple[EventKind, Phase, str]] = {
 }
 
 
-class EventRecorder(Tracer):
-    """Tracer that additionally maintains the typed event stream.
+class EventRecorder:
+    """Records the engine's trace calls as the typed event stream.
 
     Online consumers (e.g. the :mod:`repro.check` coherence monitor)
     register through :meth:`add_listener` and receive every typed event
@@ -82,13 +79,12 @@ class EventRecorder(Tracer):
     """
 
     def __init__(self, retain: bool = True):
-        super().__init__()
         self.events: List[TraceEvent] = []
         self._listeners: List[Any] = []
         #: with ``retain=False`` the recorder derives typed events and
-        #: notifies listeners but keeps neither stream in memory — the
-        #: mode for load tests that record 10^5+ job lifecycles and only
-        #: need online consumers (monitor, metrics), not post-mortem logs
+        #: notifies listeners but keeps none in memory — the mode for load
+        #: tests that record 10^5+ job lifecycles and only need online
+        #: consumers (monitor, metrics), not post-mortem logs
         self.retain = retain
 
     # -- monitor hook API --------------------------------------------------
@@ -101,8 +97,6 @@ class EventRecorder(Tracer):
 
     # -- ingestion ---------------------------------------------------------
     def record(self, time: float, category: str, payload: Dict[str, Any]) -> None:
-        if self.retain:
-            super().record(time, category, payload)
         kind, phase, default_track = _CATEGORIES.get(
             category, (EventKind.GENERIC, Phase.INSTANT, "misc")
         )
@@ -132,7 +126,6 @@ class EventRecorder(Tracer):
             listener(event)
 
     def clear(self) -> None:
-        super().clear()
         self.events.clear()
 
     # -- typed queries -----------------------------------------------------

@@ -40,9 +40,6 @@ class Platform:
                 return device
         raise LookupError(f"no {kind} device on this platform")
 
-    def devices_by_kind(self, kind: DeviceKind) -> List[Device]:
-        return [d for d in self.devices if d.kind is kind]
-
     def device_by_name(self, name: str) -> Device:
         for device in self.devices:
             if device.name == name:
@@ -56,14 +53,6 @@ class Platform:
     @property
     def cpu(self) -> Device:
         return self.device_by_kind(DeviceKind.CPU)
-
-    @property
-    def gpus(self) -> List[Device]:
-        return self.devices_by_kind(DeviceKind.GPU)
-
-    @property
-    def cpus(self) -> List[Device]:
-        return self.devices_by_kind(DeviceKind.CPU)
 
     def create_context(self, devices: Optional[List[Device]] = None) -> "Context":
         return Context(self, devices or list(self.devices))

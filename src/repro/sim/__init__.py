@@ -39,7 +39,6 @@ from repro.sim.timebase import (
     to_ticks,
     to_us,
 )
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -57,8 +56,6 @@ __all__ = [
     "SimError",
     "SubMicrosecondResidueError",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "from_ticks",
     "from_us",
     "is_us_aligned",

@@ -327,20 +327,14 @@ class Process(Event):
         if not event._ok:
             self._step(event._value, throw=True)
             return
-        engine = self.engine
-        previous = engine._active_process
-        engine._active_process = self
         try:
             target = self._generator.send(event._value)
         except StopIteration as stop:
-            engine._active_process = previous
             self._finish(stop.value, ok=True)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via event
-            engine._active_process = previous
             self._finish(exc, ok=False)
             return
-        engine._active_process = previous
         if not isinstance(target, Event):
             self._finish(
                 SimError(f"process {self.name!r} yielded non-event {target!r}"),
@@ -356,7 +350,6 @@ class Process(Event):
             target.callbacks.append(self._resume_cb)
 
     def _step(self, value: Any, throw: bool) -> None:
-        self.engine._active_process, previous = self, self.engine._active_process
         try:
             if throw:
                 target = self._generator.throw(value)
@@ -368,8 +361,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self._finish(exc, ok=False)
             return
-        finally:
-            self.engine._active_process = previous
         if not isinstance(target, Event):
             self._finish(
                 SimError(f"process {self.name!r} yielded non-event {target!r}"),
@@ -502,7 +493,6 @@ class Engine:
         # -- jittered queue (heap mode) --
         self._heap: list = []
         self._seq = itertools.count()
-        self._active_process: Optional[Process] = None
         #: memoized float-delay -> tick conversions (bounded; delays repeat)
         self._tick_cache: dict = {}
         self.tracer = tracer
@@ -559,10 +549,6 @@ class Engine:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- scheduling ---------------------------------------------------------
     def set_interleave_jitter(self, rng) -> None:
         """Install a seeded RNG (``random.Random``) that randomizes the
@@ -606,10 +592,6 @@ class Engine:
             ticks = self._now_ticks + self.delay_ticks(delay)
         else:
             ticks = self._now_ticks
-        self._push(ticks << _PHASE_BITS | event.phase, event)
-
-    def _schedule_at_ticks(self, event: Event, ticks: int) -> None:
-        """Schedule ``event`` at an absolute tick instant (internal)."""
         self._push(ticks << _PHASE_BITS | event.phase, event)
 
     def _pop(self) -> Event:
@@ -678,13 +660,6 @@ class Engine:
         if key is None:
             return float("inf")
         return from_ticks(key >> _PHASE_BITS)
-
-    def peek_ticks(self) -> Optional[int]:
-        """Tick instant of the next scheduled event, or None if none."""
-        key = self._peek_key()
-        if key is None:
-            return None
-        return key >> _PHASE_BITS
 
     def step(self) -> Event:
         """Process one event, advancing the clock."""

@@ -1,4 +1,7 @@
-"""Unit tests for dual-device buffers and version tracking (section 5.3)."""
+"""Unit tests for device-set buffers and version tracking (section 5.3).
+
+The fixture is the paper's pair: copy 0 on the GPU (the anchor), copy 1
+on the CPU."""
 
 import numpy as np
 import pytest
@@ -6,31 +9,32 @@ import pytest
 from repro.core.buffers import DIRTY, FluidiBuffer
 from repro.ocl.platform import Platform
 
+GPU, CPU = 0, 1
 
 @pytest.fixture
 def fbuf(machine):
     platform = Platform(machine)
     gpu_buf = platform.gpu.create_buffer((16,), np.float32, name="b@gpu")
     cpu_buf = platform.cpu.create_buffer((16,), np.float32, name="b@cpu")
-    return FluidiBuffer(machine.engine, "b", gpu_buf, cpu_buf)
+    return FluidiBuffer(machine.engine, "b", [gpu_buf, cpu_buf])
 
 
 class TestLifecycle:
     def test_initially_coherent_at_version_zero(self, fbuf):
-        assert fbuf.gpu_current
-        assert fbuf.cpu_current
+        assert fbuf.current(GPU)
+        assert fbuf.current(CPU)
         assert fbuf.latest == 0
 
     def test_host_write_updates_both(self, fbuf):
         fbuf.commit_host_write(3)
         assert fbuf.latest == 3
-        assert fbuf.gpu_current and fbuf.cpu_current
+        assert fbuf.current(GPU) and fbuf.current(CPU)
 
     def test_expect_write_dirties_both(self, fbuf):
         fbuf.expect_write(5)
-        assert fbuf.version_gpu == DIRTY
-        assert fbuf.version_cpu == DIRTY
-        assert not fbuf.gpu_current
+        assert fbuf.version_of(GPU) == DIRTY
+        assert fbuf.version_of(CPU) == DIRTY
+        assert not fbuf.current(GPU)
 
     def test_expect_write_requires_newer_version(self, fbuf):
         fbuf.commit_host_write(3)
@@ -39,40 +43,41 @@ class TestLifecycle:
 
     def test_commit_gpu(self, fbuf):
         fbuf.expect_write(4)
-        fbuf.commit_gpu(4)
-        assert fbuf.gpu_current
-        assert not fbuf.cpu_current
+        fbuf.commit_front(GPU, 4)
+        assert fbuf.current(GPU)
+        assert not fbuf.current(CPU)
 
     def test_commit_cpu(self, fbuf):
         fbuf.expect_write(4)
-        fbuf.commit_cpu(4)
-        assert fbuf.cpu_current
-        assert not fbuf.gpu_current
+        fbuf.commit_front(CPU, 4)
+        assert fbuf.current(CPU)
+        assert not fbuf.current(GPU)
 
     def test_dh_refresh_restores_cpu(self, fbuf):
         fbuf.expect_write(4)
-        fbuf.commit_gpu(4)
-        fbuf.mark_cpu_refreshed(4)
-        assert fbuf.cpu_current
-        assert not fbuf.dh_pending
+        fbuf.commit_front(GPU, 4)
+        fbuf.set_dh_pending(CPU, True)
+        fbuf.mark_refreshed(CPU, 4)
+        assert fbuf.current(CPU)
+        assert not fbuf.dh_pending_for(CPU)
 
 
 class TestGates:
     def test_cpu_gate_fires_on_refresh(self, fbuf, machine):
         fbuf.expect_write(4)
-        fbuf.commit_gpu(4)
-        wait = fbuf.cpu_gate.wait()
-        fbuf.mark_cpu_refreshed(4)
+        fbuf.commit_front(GPU, 4)
+        wait = fbuf.gate(CPU).wait()
+        fbuf.mark_refreshed(CPU, 4)
         assert machine.engine.run(wait) == 4
 
     def test_cpu_gate_fires_on_commit_cpu(self, fbuf, machine):
         fbuf.expect_write(4)
-        wait = fbuf.cpu_gate.wait()
-        fbuf.commit_cpu(4)
+        wait = fbuf.gate(CPU).wait()
+        fbuf.commit_front(CPU, 4)
         assert machine.engine.run(wait) == 4
 
     def test_cpu_gate_fires_on_host_write(self, fbuf, machine):
-        wait = fbuf.cpu_gate.wait()
+        wait = fbuf.gate(CPU).wait()
         fbuf.commit_host_write(9)
         assert machine.engine.run(wait) == 9
 
@@ -83,7 +88,7 @@ class TestValidation:
         gpu_buf = platform.gpu.create_buffer((16,), np.float32)
         cpu_buf = platform.cpu.create_buffer((8,), np.float32)
         with pytest.raises(ValueError):
-            FluidiBuffer(machine.engine, "b", gpu_buf, cpu_buf)
+            FluidiBuffer(machine.engine, "b", [gpu_buf, cpu_buf])
 
     def test_geometry_properties(self, fbuf):
         assert fbuf.shape == (16,)

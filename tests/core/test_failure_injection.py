@@ -98,5 +98,5 @@ class TestResourceExhaustion:
             )
         runtime.finish()
         runtime.drain()
-        # cpu_in + orig + readback per kernel, but pooled: a handful at most.
+        # landing + orig + readback per kernel, but pooled: a handful at most.
         assert runtime.pool.idle_count + runtime.pool.in_use_count <= 8

@@ -142,15 +142,19 @@ class TestMultiKernelChains:
         assert np.allclose(out, expected)
 
 
+def reads_from(runtime, device):
+    return runtime.stats.extra[f"reads_from[{device.name}]"]
+
+
 class TestReadPaths:
     def test_read_after_cpu_complete_avoids_pcie(self):
         runtime, _y, _e = run_fluidicl_scale(n=1024, gpu_eff=0.005, cpu_eff=0.9)
-        assert runtime.stats.extra["reads_from_cpu"] >= 1
-        assert runtime.stats.extra["reads_from_gpu"] == 0
+        assert reads_from(runtime, runtime.cpu_device) >= 1
+        assert reads_from(runtime, runtime.gpu_device) == 0
 
     def test_read_after_merge_comes_from_gpu(self):
         runtime, _y, _e = run_fluidicl_scale(n=4096, gpu_eff=0.9, cpu_eff=0.02)
-        assert runtime.stats.extra["reads_from_gpu"] >= 1
+        assert reads_from(runtime, runtime.gpu_device) >= 1
 
     def test_location_tracking_disabled_prefers_gpu(self):
         config = FluidiCLConfig(location_tracking=False)
@@ -163,7 +167,7 @@ class TestReadPaths:
         runtime.enqueue_read_buffer(buf, out)
         runtime.finish()
         assert np.all(out == 1.0)
-        assert runtime.stats.extra["reads_from_gpu"] == 1
+        assert reads_from(runtime, runtime.gpu_device) == 1
 
     def test_write_then_read_round_trip(self):
         machine = build_machine()

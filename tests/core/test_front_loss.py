@@ -10,11 +10,13 @@ kills each member in turn — whichever front dies, the survivors must
 finish the range with correct numerics.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.runtime import FluidiCLRuntime
 from repro.faults import FaultKind, FaultSchedule, FaultSpec, install_faults
-from repro.hw.machine import build_machine
+from repro.hw.machine import MACHINE_PRESETS, build_machine
+from repro.obs import EventKind
 from repro.polybench.suite import EXTENDED_SUITE, make_app
 
 def midrun_strike(app_name, preset=None):
@@ -27,6 +29,15 @@ def midrun_strike(app_name, preset=None):
     record = runtime.records[0]
     assert record.end_time > record.start_time
     return record.start_time + 0.5 * (record.end_time - record.start_time)
+
+
+def assert_failovers_name(machine, lost, survivors):
+    """Every failover event names the lost device and a surviving one."""
+    failovers = [e for e in machine.tracer.events if e.name == "failover"]
+    assert failovers, "front loss must emit a failover trace event"
+    for event in failovers:
+        assert event["lost"] == lost
+        assert event["survivor"] in survivors
 
 
 def run_app_with_loss(app_name, device, preset=None, at=None):
@@ -54,16 +65,18 @@ class TestCpuLossRegression:
             f"{app_name}: wrong numerics after CPU loss "
             f"(max rel err {result.max_relative_error:.3e})")
         assert runtime.cpu_device.health.lost
-        failovers = [e for e in machine.tracer.events if e.name == "failover"]
-        assert failovers and failovers[0].attrs["lost"] == "cpu"
+        assert_failovers_name(machine, lost=runtime.cpu_device.name,
+                              survivors={runtime.gpu_device.name})
 
     @pytest.mark.parametrize("app_name", EXTENDED_SUITE)
     def test_killing_gpu_midrun_stays_correct(self, app_name):
-        _machine, runtime, result = run_app_with_loss(app_name, "gpu")
+        machine, runtime, result = run_app_with_loss(app_name, "gpu")
         assert result.correct, (
             f"{app_name}: wrong numerics after GPU loss "
             f"(max rel err {result.max_relative_error:.3e})")
         assert runtime.gpu_device.health.lost
+        assert_failovers_name(machine, lost=runtime.gpu_device.name,
+                              survivors={runtime.cpu_device.name})
 
 
 class TestNDeviceFrontLoss:
@@ -81,10 +94,8 @@ class TestNDeviceFrontLoss:
         lost = [f.name for f in runtime.device_set.fronts if f.lost]
         assert lost == [victim]
         assert len(runtime.device_set.survivors()) == 2
-        failovers = [e for e in machine.tracer.events if e.name == "failover"]
-        assert failovers, "front loss must emit a failover trace event"
-        assert failovers[0].attrs["lost"] == victim
-        assert failovers[0].attrs["survivor"] != victim
+        assert_failovers_name(machine, lost=victim,
+                              survivors=set(self.NAMES) - {victim})
 
     def test_losing_every_worker_leaves_anchor_alone(self):
         """Both non-anchor fronts die; the anchor carries the kernels."""
@@ -148,9 +159,42 @@ class TestPerDeviceReadCounters:
         runtime.drain()
         assert result.correct
         extra = runtime.stats.extra
-        per_device = [extra.get(f"reads_from[{f.name}]", 0)
-                      for f in runtime.device_set.fronts]
-        # the kind-aggregate keys stay, and per-device counts explain them
-        assert extra["reads_from_cpu"] + extra["reads_from_gpu"] > 0
-        assert sum(per_device) \
-            == extra["reads_from_cpu"] + extra["reads_from_gpu"]
+        keys = {f"reads_from[{d.name}]" for d in runtime.platform.devices}
+        # read counters exist per device only, and count every read once
+        assert {k for k in extra if k.startswith("reads_from")} == keys
+        assert runtime.stats.reads > 0
+        assert sum(extra[k] for k in keys) == runtime.stats.reads
+
+    @pytest.mark.parametrize("preset", sorted(MACHINE_PRESETS))
+    def test_read_events_name_the_serving_device(self, preset):
+        machine = build_machine(preset=preset, trace=True)
+        runtime = FluidiCLRuntime(machine)
+        app = make_app("gesummv", "test")
+        assert app.execute(runtime, check=True).correct
+        runtime.drain()
+        names = [d.name for d in runtime.platform.devices]
+        sources = [e["source"] for e in machine.tracer.by_kind(
+            EventKind.BUFFER_READ)]
+        assert len(sources) == runtime.stats.reads > 0
+        assert set(sources) <= set(names)
+        for name in names:
+            assert (sources.count(name)
+                    == runtime.stats.extra[f"reads_from[{name}]"])
+
+    def test_read_from_a_worker_gpu_names_it(self):
+        """A worker GPU holding the only current copy serves the read; it
+        is named as itself, not confused with the anchor GPU."""
+        machine = build_machine(preset="cpu+2gpu", trace=True)
+        runtime = FluidiCLRuntime(machine)
+        data = np.arange(16, dtype=np.float32)
+        buf = runtime.create_buffer("b", (16,), np.float32)
+        runtime.enqueue_write_buffer(buf, data)
+        # the worker GPU alone holds the committed version
+        buf.expect_write(buf.latest + 1)
+        buf.commit_front(1, buf.latest + 1)
+        out = np.zeros(16, dtype=np.float32)
+        runtime.enqueue_read_buffer(buf, out)
+        np.testing.assert_array_equal(out, data)
+        (read,) = machine.tracer.by_kind(EventKind.BUFFER_READ)
+        assert read["source"] == "Tesla C2070 #2"
+        assert runtime.stats.extra["reads_from[Tesla C2070 #2]"] == 1

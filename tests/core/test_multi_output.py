@@ -80,7 +80,7 @@ class TestTwoOutputs:
 
     def test_helper_buffers_recycled_for_all_outputs(self):
         runtime, _x, _lo, _hi = self._run(0.4, 0.6)
-        # cpu_in + orig + readback per output, all returned to the pool.
+        # landing + orig + readback per output, all returned to the pool.
         assert runtime.pool.in_use_count == 0
 
 

@@ -31,9 +31,8 @@ class TestVersionEdgeCases:
     def test_stale_on_both_devices_is_an_error(self, runtime):
         buf = runtime.create_buffer("b", (64,), np.float32)
         buf.latest = 5
-        buf.version_gpu = DIRTY
-        buf.version_cpu = DIRTY
-        with pytest.raises(RuntimeError, match="stale on both"):
+        buf.versions[:] = [DIRTY, DIRTY]
+        with pytest.raises(RuntimeError, match="stale on every device"):
             runtime._refresh_gpu_inputs([buf])
 
     def test_host_write_bumps_version_monotonically(self, runtime):
@@ -84,6 +83,22 @@ class TestVersionEdgeCases:
         runtime.drain()
         assert np.all(out == -1.0)
         assert runtime.stats.extra["stale_dh_discards"] >= 1
+
+
+class TestDeviceNaming:
+    """Everything that names a device uses its device name, on the pair as
+    on wider sets."""
+
+    @pytest.mark.parametrize("preset", ("default", "cpu+2gpu"))
+    def test_copies_gates_and_queues_name_devices(self, preset):
+        runtime = FluidiCLRuntime(build_machine(preset=preset))
+        buf = runtime.create_buffer("b", (16,), np.float32)
+        for front in runtime.device_set.fronts:
+            assert buf.copies[front.index].name == f"b@{front.name}"
+            assert buf.gates[front.index].name == f"ver{front.index}:b"
+        for front in runtime.device_set.workers:
+            assert front.queue.name == f"fluidicl-w{front.index}"
+            assert front.io_queue.name == f"fluidicl-w{front.index}-io"
 
 
 class TestMergeDecisions:
@@ -166,10 +181,10 @@ class TestRecords:
 class TestCpuReadSynchronization:
     """Regression tests: host reads of the CPU copy vs in-flight subkernels.
 
-    The read travels on ``cpu_io_queue`` (so it does not serialize behind
-    stale CPU work), which means it must carry an *explicit* dependency on
-    the last CPU subkernel writing the buffer — the in-order ``cpu_queue``
-    alone cannot order the two."""
+    The read travels on the CPU front's ``io_queue`` (so it does not
+    serialize behind stale CPU work), which means it must carry an
+    *explicit* dependency on the last CPU subkernel writing the buffer —
+    the front's in-order compute ``queue`` alone cannot order the two."""
 
     def test_read_waits_for_inflight_cpu_subkernel_write(self):
         machine = build_machine()
@@ -185,17 +200,19 @@ class TestCpuReadSynchronization:
         # scheduler does — registering its completion event on the
         # out-buffer — but do NOT wait for it.  This is the shape of a
         # stale subkernel still executing when the host reads.
+        cpu = runtime.primary_front
         ndrange = NDRange(n, 16)
         kernel = Kernel(
             cpu_subkernel_variant(spec, wg_split=False),
-            {"x": x.cpu, "y": y.cpu, "alpha": 3.0},
+            {"x": x.copies[cpu.index], "y": y.copies[cpu.index],
+             "alpha": 3.0},
         )
-        event = runtime.cpu_queue.enqueue_nd_range_kernel(
+        event = cpu.queue.enqueue_nd_range_kernel(
             kernel, ndrange,
             LaunchConfig(fid_start=0, fid_end=ndrange.total_groups,
                          kernel_id=99),
         )
-        y.last_cpu_kernel_write = event
+        y.record_kernel_write(cpu.index, event)
         assert not event.is_complete
         out = np.empty(n, dtype=np.float32)
         runtime.enqueue_read_buffer(y, out)
@@ -212,10 +229,11 @@ class TestCpuReadSynchronization:
         )
         np.testing.assert_allclose(y, expected, rtol=1e-6)
         buf_y = next(b for b in runtime.buffers if b.name == "y")
-        assert buf_y.last_cpu_kernel_write is not None
+        cpu = runtime.primary_front.index
+        assert buf_y.last_kernel_writes[cpu] is not None
         runtime.drain()
-        assert buf_y.last_cpu_kernel_write.is_complete
-        assert not buf_y.quiesce_events()
+        assert buf_y.last_kernel_writes[cpu].is_complete
+        assert not buf_y.quiesce_events(cpu)
 
 
 class TestBackgroundBookkeeping:
@@ -255,13 +273,14 @@ class TestBackgroundBookkeeping:
         machine = build_machine()
         runtime = FluidiCLRuntime(machine)
         delay = 5e-4
-        runtime.cpu_queue.enqueue_callback(
+        cpu_queue = runtime.primary_front.queue
+        cpu_queue.enqueue_callback(
             lambda _q: None, duration=delay, label="commit-sim"
         )
-        commit = runtime.cpu_queue.finish_event()
+        commit = cpu_queue.finish_event()
         runtime._pending_commits.append(commit)
         before = runtime.now
-        runtime.finish()  # does not wait on cpu_queue markers by itself
+        runtime.finish()  # does not wait on CPU-queue markers by itself
         assert commit.triggered
         assert runtime.now >= before + delay
         assert runtime._pending_commits == []

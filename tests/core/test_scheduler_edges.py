@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.core.deviceset import FrontLedger
 from repro.core.runtime import FluidiCLRuntime
 from repro.core.scheduler import CpuScheduler
 from repro.hw.machine import build_machine
@@ -92,7 +93,13 @@ class TestProbeChunkRounding:
 class TestFinalizeRace:
     """``_send_results_and_status`` snapshots cost host memcpy time; the
     kernel can be finalized mid-snapshot.  Remaining buffer sends AND the
-    status callback must then be skipped (§5.3)."""
+    status callback must then be skipped (§5.3).
+
+    The fake scheduler is worker front 1, which has claimed the top half
+    ``[4, 8)`` of an 8-group range off a real :class:`FrontLedger`.
+    """
+
+    FRONT = 1
 
     def _fake_scheduler(self, engine, fbuffers, board, tracer_events):
         sent, callbacks = [], []
@@ -116,20 +123,24 @@ class TestFinalizeRace:
             config=SimpleNamespace(status_message_bytes=64),
             stats=SimpleNamespace(extra={"status_messages": 0}),
         )
+        ledger = FrontLedger(board.total_groups)
+        ledger.claim(self.FRONT, 4)
         plan = SimpleNamespace(
             kernel_id=1,
             board=board,
             out_fbuffers=fbuffers,
-            cpu_in={f.name: f.name for f in fbuffers},
+            ledger=ledger,
         )
-        fake = SimpleNamespace(runtime=runtime, plan=plan)
+        fake = SimpleNamespace(
+            runtime=runtime, plan=plan,
+            front=SimpleNamespace(index=self.FRONT),
+            landing={f.name: f.name for f in fbuffers},
+        )
         return fake, sent, callbacks
 
     def _fbuf(self, name, nbytes=1.0):
-        return SimpleNamespace(
-            name=name, nbytes=nbytes,
-            cpu=SimpleNamespace(snapshot=lambda: np.zeros(1)),
-        )
+        copy = SimpleNamespace(snapshot=lambda: np.zeros(1))
+        return SimpleNamespace(name=name, nbytes=nbytes, copies=[None, copy])
 
     def test_finalize_mid_snapshot_stops_sends_and_status(self):
         from repro.sim.core import Engine
@@ -154,6 +165,8 @@ class TestFinalizeRace:
         engine.run()
         assert sent == ["a"], "send in flight at finalize must be the last"
         assert callbacks == [], "status callback must not be enqueued"
+        assert fake.plan.ledger.committed_frontier() == 8, \
+            "an unsent shipment must not land"
         assert not any(cat == "status_delivery" for _t, cat, _p in events)
 
     def test_without_finalize_all_sends_and_status_go_out(self):
@@ -170,6 +183,7 @@ class TestFinalizeRace:
         engine.run()
         assert sent == ["a", "b"]
         assert len(callbacks) == 1
+        assert fake.plan.ledger.committed_frontier() == 4
         # Driving the recorded callback delivers the status message.
         callbacks[0](None)
         assert board.frontier == 4

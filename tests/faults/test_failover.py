@@ -67,8 +67,8 @@ class TestGpuLossFailover:
         assert runtime.stats.extra["failovers"] == 1
         assert runtime.stats.extra["kernels_failover"] == 1
         (event,) = events_named(machine, "failover")
-        assert event.attrs["lost"] == "gpu"
-        assert event.attrs["survivor"] == "cpu"
+        assert event.attrs["lost"] == runtime.gpu_device.name
+        assert event.attrs["survivor"] == runtime.cpu_device.name
 
     def test_no_status_delivery_after_failover(self):
         """The board is finalized on failover; in-flight status callbacks
@@ -94,8 +94,8 @@ class TestCpuLossFailover:
         np.testing.assert_array_equal(y, expected)
         assert runtime.stats.extra["failovers"] == 1
         (event,) = events_named(machine, "failover")
-        assert event.attrs["lost"] == "cpu"
-        assert event.attrs["survivor"] == "gpu"
+        assert event.attrs["lost"] == runtime.cpu_device.name
+        assert event.attrs["survivor"] == runtime.gpu_device.name
 
 
 class TestTransientTransferFaults:
@@ -195,6 +195,32 @@ class TestUnrecoverableWindow:
         y = np.zeros(N, dtype=np.float32)
         with pytest.raises(DeviceLostError):
             runtime.enqueue_read_buffer(buf_y, y)
+
+    def test_unrecoverable_kernel_error_names_devices(self):
+        """The anchor dies while the next kernel's input is still riding
+        its read-back to the CPU: no front can complete the range, and the
+        error names both devices."""
+        runtime = FluidiCLRuntime(build_machine())
+        n = 4096
+        spec = make_scale_kernel(n, LOCAL, gpu_eff=0.9, cpu_eff=0.1,
+                                 work_scale=32.0)
+        bufs = [runtime.create_buffer(name, (n,), np.float32)
+                for name in ("x", "y", "z")]
+        runtime.enqueue_write_buffer(bufs[0], np.ones(n, dtype=np.float32))
+        record = runtime.enqueue_nd_range_kernel(
+            spec, NDRange(n, LOCAL), {"x": bufs[0], "y": bufs[1], "alpha": 2.0}
+        )
+        assert not record.cpu_completed_all  # y committed GPU-side
+        runtime.gpu_device.health.declare_lost("post-commit loss")
+        with pytest.raises(DeviceLostError) as info:
+            runtime.enqueue_nd_range_kernel(
+                spec, NDRange(n, LOCAL),
+                {"x": bufs[1], "y": bufs[2], "alpha": 3.0},
+            )
+        message = str(info.value)
+        assert "unrecoverable" in message
+        assert repr(runtime.gpu_device.name) in message
+        assert repr(runtime.cpu_device.name) in message
 
     def test_both_devices_lost_rejects_writes(self):
         machine = build_machine()

@@ -4,50 +4,55 @@ import numpy as np
 import pytest
 
 from repro.core.runtime import FluidiCLRuntime
-from repro.harness.timeline import Span, extract_spans, overlap_seconds, render_gantt
+from repro.harness.timeline import extract_spans, render_gantt
 from repro.hw.machine import build_machine
+from repro.obs import EventKind, EventRecorder, EventSpan
 from repro.ocl.ndrange import NDRange
-from repro.sim.trace import Tracer
 
 from tests.conftest import make_scale_kernel
 
 
+def span(track, start, end):
+    return EventSpan(EventKind.COMMAND, "k", track, start, end)
+
+
 class TestSpanMechanics:
     def test_overlap_seconds(self):
-        a = Span("q", "k", "a", 0.0, 2.0)
-        b = Span("q", "k", "b", 1.0, 3.0)
-        assert overlap_seconds(a, b) == pytest.approx(1.0)
+        a = span("q", 0.0, 2.0)
+        b = span("q", 1.0, 3.0)
+        assert a.overlap(b) == pytest.approx(1.0)
 
     def test_no_overlap(self):
-        a = Span("q", "k", "a", 0.0, 1.0)
-        b = Span("q", "k", "b", 2.0, 3.0)
-        assert overlap_seconds(a, b) == 0.0
+        a = span("q", 0.0, 1.0)
+        b = span("q", 2.0, 3.0)
+        assert a.overlap(b) == 0.0
 
     def test_duration(self):
-        assert Span("q", "k", "a", 1.0, 2.5).duration == pytest.approx(1.5)
+        assert span("q", 1.0, 2.5).duration == pytest.approx(1.5)
 
     def test_extract_pairs_in_order(self):
-        tracer = Tracer()
-        tracer.record(0.0, "cmd_start", {"queue": "q", "type": "x", "kernel": "k"})
-        tracer.record(1.0, "cmd_end", {"queue": "q", "type": "x", "kernel": "k"})
-        tracer.record(1.0, "cmd_start", {"queue": "q", "type": "x", "kernel": "k"})
-        tracer.record(3.0, "cmd_end", {"queue": "q", "type": "x", "kernel": "k"})
-        spans = extract_spans(tracer)
+        recorder = EventRecorder()
+        payload = {"queue": "q", "type": "x", "kernel": "k"}
+        recorder.record(0.0, "cmd_start", payload)
+        recorder.record(1.0, "cmd_end", payload)
+        recorder.record(1.0, "cmd_start", payload)
+        recorder.record(3.0, "cmd_end", payload)
+        spans = extract_spans(recorder)
         assert [(s.start, s.end) for s in spans] == [(0.0, 1.0), (1.0, 3.0)]
 
     def test_kind_filter(self):
-        tracer = Tracer()
-        tracer.record(0.0, "cmd_start", {"queue": "q", "type": "a"})
-        tracer.record(1.0, "cmd_end", {"queue": "q", "type": "a"})
-        tracer.record(1.0, "cmd_start", {"queue": "q", "type": "b"})
-        tracer.record(2.0, "cmd_end", {"queue": "q", "type": "b"})
-        assert len(extract_spans(tracer, kinds=["a"])) == 1
+        recorder = EventRecorder()
+        recorder.record(0.0, "cmd_start", {"queue": "q", "type": "a"})
+        recorder.record(1.0, "cmd_end", {"queue": "q", "type": "a"})
+        recorder.record(1.0, "cmd_start", {"queue": "q", "type": "b"})
+        recorder.record(2.0, "cmd_end", {"queue": "q", "type": "b"})
+        assert len(extract_spans(recorder, kinds=["a"])) == 1
 
     def test_render_empty(self):
         assert "empty" in render_gantt([])
 
     def test_render_contains_queues(self):
-        spans = [Span("alpha", "k", "x", 0.0, 1.0), Span("beta", "k", "y", 0.5, 2.0)]
+        spans = [span("alpha", 0.0, 1.0), span("beta", 0.5, 2.0)]
         chart = render_gantt(spans)
         assert "alpha" in chart and "beta" in chart
         assert "#" in chart
@@ -78,16 +83,16 @@ class TestFluidiclOverlap:
         spans = extract_spans(machine.tracer)
         gpu_kernels = [
             s for s in spans
-            if s.queue == "fluidicl-app" and s.kind == "ndrange_kernel"
-            and "merge" not in s.label
+            if s.track == "fluidicl-app"
+            and s.attrs["type"] == "ndrange_kernel" and "merge" not in s.name
         ]
         hd_transfers = [
             s for s in spans
-            if s.queue == "fluidicl-hd" and s.kind == "write_buffer"
+            if s.track == "fluidicl-hd" and s.attrs["type"] == "write_buffer"
         ]
         assert gpu_kernels and hd_transfers
         overlapped = sum(
-            overlap_seconds(k, t) for k in gpu_kernels for t in hd_transfers
+            k.overlap(t) for k in gpu_kernels for t in hd_transfers
         )
         assert overlapped > 0, "CPU->GPU shipping must overlap GPU compute"
 
@@ -96,14 +101,14 @@ class TestFluidiclOverlap:
         the same simulated time."""
         machine, _runtime = self._traced_run()
         spans = extract_spans(machine.tracer, kinds=["ndrange_kernel"])
-        gpu = [s for s in spans if s.queue == "fluidicl-app"]
-        cpu = [s for s in spans if s.queue == "fluidicl-cpu"]
+        gpu = [s for s in spans if s.track == "fluidicl-app"]
+        cpu = [s for s in spans if s.track == "fluidicl-w1"]
         assert gpu and cpu
-        overlapped = sum(overlap_seconds(g, c) for g in gpu for c in cpu)
+        overlapped = sum(g.overlap(c) for g in gpu for c in cpu)
         assert overlapped > 0
 
     def test_gantt_renders_all_queues(self):
         machine, _runtime = self._traced_run()
         chart = render_gantt(extract_spans(machine.tracer))
-        for queue in ("fluidicl-app", "fluidicl-cpu", "fluidicl-hd"):
+        for queue in ("fluidicl-app", "fluidicl-w1", "fluidicl-hd"):
             assert queue in chart

@@ -143,7 +143,7 @@ class TestTwoDeviceGoldenOrder:
         "cmd_start", "cmd_end", "cmd_start", "cmd_end", "cmd_start",
         "cmd_end", "cmd_start", "cmd_end",
     ]
-    #: the subset of records that land on exact-microsecond instants
+    #: the subset of events that land on exact-microsecond instants
     GOLDEN_ALIGNED = ["buffer_write", "kernel_begin",
                       "pool_miss", "pool_miss"]
 
@@ -164,18 +164,18 @@ class TestTwoDeviceGoldenOrder:
 
     def test_category_sequence_matches_golden(self):
         machine = self._run()
-        assert ([r.category for r in machine.tracer.records]
+        assert ([e.category for e in machine.tracer.events]
                 == self.GOLDEN_CATEGORIES)
 
     def test_us_aligned_subset_matches_golden(self):
         from repro.sim.timebase import is_us_aligned
 
         machine = self._run()
-        aligned = [r.category for r in machine.tracer.records
-                   if is_us_aligned(r.time)]
+        aligned = [e.category for e in machine.tracer.events
+                   if is_us_aligned(e.ts)]
         assert aligned == self.GOLDEN_ALIGNED
 
     def test_trace_times_are_monotonic(self):
         machine = self._run()
-        times = [r.time for r in machine.tracer.records]
+        times = [e.ts for e in machine.tracer.events]
         assert all(a <= b for a, b in zip(times, times[1:]))
