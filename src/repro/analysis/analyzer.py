@@ -55,7 +55,6 @@ __all__ = [
     "analyze_kernel",
     "analyze_variant",
     "analyze_specs",
-    "clear_cache",
 ]
 
 #: loop trip counts at or above this are "long": a work-group that cannot
@@ -76,11 +75,6 @@ def _facts_for(body) -> KernelFacts:
         cached = extract_facts(body)
         _FACTS_CACHE[body] = cached
     return cached
-
-
-def clear_cache() -> None:
-    """Drop memoized body facts (tests redefine bodies dynamically)."""
-    _FACTS_CACHE.clear()
 
 
 def _loc(facts: KernelFacts, line: int) -> Optional[SourceLocation]:

@@ -17,7 +17,7 @@ the DSL back.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -184,11 +184,6 @@ class Finding:
     def rule(self) -> Rule:
         return RULES[self.rule_id]
 
-    def with_kernel(self, kernel: str) -> "Finding":
-        """The same finding, attributed to ``kernel`` (declaration errors
-        are produced before the kernel name is known)."""
-        return replace(self, kernel=kernel)
-
     def render(self) -> str:
         where = []
         if self.kernel:
@@ -243,10 +238,6 @@ class LintReport:
     @property
     def errors(self) -> List[Finding]:
         return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.WARNING]
 
     @property
     def fluidic_safe(self) -> bool:

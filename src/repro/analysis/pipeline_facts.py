@@ -122,9 +122,6 @@ class PipelineFacts:
     decls: Dict[str, BufferDecl]
     stages: List[StageFacts]
 
-    def kernel_stages(self) -> List[StageFacts]:
-        return [s for s in self.stages if s.kind == "kernel"]
-
     def readers_of(self, buffer: str) -> List[StageFacts]:
         return [s for s in self.stages if buffer in s.reads]
 

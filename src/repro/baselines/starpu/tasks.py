@@ -98,9 +98,6 @@ class Task:
     def written_handles(self) -> List[DataHandle]:
         return [h for h, intent in self.accesses if intent.is_written]
 
-    def read_handles(self) -> List[DataHandle]:
-        return [h for h, intent in self.accesses if intent.is_read]
-
     def compute_dependencies(self) -> None:
         """Sequential-consistency deps against earlier tasks on the same data.
 

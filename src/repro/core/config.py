@@ -50,10 +50,6 @@ class FluidiCLConfig:
     #: "strict" refuses kernels that are not fluidic-safe, "warn" emits
     #: lint_finding events and launches anyway, "off" skips the analysis
     lint: str = "warn"
-    #: attach the PipelineSanitizer to traced PipelineApp runs (validates
-    #: the static FK4xx/FK5xx dataflow claims against observed
-    #: buffer_read versions; no-op when ``lint="off"`` or untraced)
-    pipeline_sanitizer: bool = True
 
     def __post_init__(self):
         if not 0 < self.initial_chunk_fraction <= 1:

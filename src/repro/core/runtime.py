@@ -35,7 +35,6 @@ from repro.core.config import FluidiCLConfig
 from repro.core.deviceset import DeviceSet, FrontLedger
 from repro.core.merge import build_merge_kernel, merge_ndrange
 from repro.core.pool import BufferPool
-from repro.obs.metrics import MetricsRegistry
 from repro.core.profiling_opt import OnlineKernelProfiler
 from repro.core.scheduler import CpuScheduler
 from repro.core.stats import KernelRecord
@@ -136,11 +135,8 @@ class FluidiCLRuntime(AbstractRuntime):
         #: completion events of merge/commit work in flight on ``app_queue``;
         #: :meth:`finish` and :meth:`drain` wait on (and then prune) these
         self._pending_commits: List[Any] = []
-        # Typed per-run metrics; ``stats.extra`` stays a live mapping view
-        # over the counters so existing consumers keep reading the same
-        # names.
-        self.metrics = MetricsRegistry()
-        self.stats.extra = self.metrics.counter_view()
+        # Every run counter, registered as zero so each name is present
+        # (and exported) whether or not its event ever happens.
         self.stats.extra.update(
             gpu_input_refreshes=0,
             front_input_refreshes=0,
@@ -155,6 +151,7 @@ class FluidiCLRuntime(AbstractRuntime):
             faults_injected=0,
             failovers=0,
             watchdog_trips=0,
+            lint_findings=0,
         )
         for device in self.platform.devices:
             self.stats.extra.update({
@@ -360,11 +357,11 @@ class FluidiCLRuntime(AbstractRuntime):
         """Statically analyze every kernel version before cooperative launch.
 
         ``config.lint`` selects the posture: ``"warn"`` (default) emits one
-        ``lint_finding`` event and bumps a metrics counter per distinct
-        finding of WARNING severity or above; ``"strict"`` additionally
-        raises :class:`LintError` when any version is not fluidic-safe —
-        partitioning it across devices (§4, Fig. 7) could corrupt results;
-        ``"off"`` skips the analysis entirely.
+        ``lint_finding`` event and bumps ``stats.extra["lint_findings"]``
+        per distinct finding of WARNING severity or above; ``"strict"``
+        additionally raises :class:`LintError` when any version is not
+        fluidic-safe — partitioning it across devices (§4, Fig. 7) could
+        corrupt results; ``"off"`` skips the analysis entirely.
         """
         if self.config.lint == "off":
             return
@@ -380,7 +377,7 @@ class FluidiCLRuntime(AbstractRuntime):
                 if key in self._lint_seen:
                     continue
                 self._lint_seen.add(key)
-                self.metrics.counter("lint_findings").inc()
+                self.stats.extra["lint_findings"] += 1
                 self.engine.trace(
                     "lint_finding", kernel=report.kernel,
                     version=report.version, rule=finding.rule_id,
@@ -479,8 +476,6 @@ class FluidiCLRuntime(AbstractRuntime):
                 else "cpu-complete" if record.cpu_completed_all
                 else "merged" if record.merged else "gpu-only")
         self.stats.extra[f"kernels_{path.replace('-', '_')}"] += 1
-        self.metrics.histogram("kernel_seconds").observe(record.duration)
-        self.metrics.histogram("cpu_share").observe(record.cpu_share)
         self.engine.trace(
             "kernel_end", kernel=record.name, kernel_id=kernel_id,
             gpu_groups=record.gpu_groups, cpu_groups=record.cpu_groups,

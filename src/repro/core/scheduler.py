@@ -36,14 +36,12 @@ class CpuScheduler:
         self.front = front
         #: the front's landing buffers on the anchor, by arg name
         self.landing = plan.landing[self.front.index]
-        #: True when this scheduler owns ``record.chunker`` / the profiler
-        #: choice reported for the kernel (the CPU-path front's scheduler)
+        #: True when this scheduler owns the profiler choice reported for
+        #: the kernel (the CPU-path front's scheduler)
         self.primary = self.front is runtime.primary_front
         #: lowest flattened group ID this front has *executed* down to
         #: (the shared claim floor after this front's latest claim)
         self.frontier = plan.ndrange.total_groups
-        #: total surplus groups launched due to covering slices (§5.2)
-        self.surplus_groups = 0
         #: True when this front's device died mid-subkernel (work is void)
         self.front_lost = False
         #: True when every claimed span landed and none remains claimable
@@ -108,9 +106,6 @@ class CpuScheduler:
             initial_fraction=config.initial_chunk_fraction,
             step_fraction=config.chunk_step_fraction,
         )
-        if self.primary:
-            plan.record.chunker = chunker
-        plan.record.chunkers[self.front.name] = chunker
 
         # §6.6: each alternate version is probed with a deliberately small
         # allocation before committing to the fastest one.  Probes round up
@@ -135,7 +130,6 @@ class CpuScheduler:
             size = end - start
 
             launch_geometry = subkernel_slice(plan.ndrange, start, end)
-            self.surplus_groups += launch_geometry.surplus_groups
             plan.record.surplus_groups += launch_geometry.surplus_groups
 
             kernel = self._kernel_cache.get(id(spec))
@@ -187,13 +181,10 @@ class CpuScheduler:
             # stalls the adaptive growth (and the §6.6 version choice) on
             # multi-dimensional ranges.
             executed_groups = launch_geometry.launched_groups
-            plan.record.subkernels += 1
             plan.record.chunks.append(size)
-            plan.record.cpu_groups_executed += size
             plan.record.front_groups[self.front.name] = (
                 plan.record.front_groups.get(self.front.name, 0) + size
             )
-            runtime.metrics.histogram("subkernel_seconds").observe(elapsed)
             if profiler.probing:
                 profiler.observe(elapsed / executed_groups)
             else:
@@ -285,7 +276,7 @@ class CpuScheduler:
 
         def deliver_status(_queue):
             value = ledger.committed_frontier()
-            accepted = board.update(engine.now, value)
+            accepted = board.update(value)
             engine.trace(
                 "status_delivery", kernel_id=plan.kernel_id,
                 frontier=value, accepted=accepted,

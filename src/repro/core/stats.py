@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["KernelRecord"]
 
@@ -19,12 +19,9 @@ class KernelRecord:
     gpu_groups: int = 0
     #: work-groups credited to the CPU (status + data arrived in time)
     cpu_groups: int = 0
-    #: work-groups the CPU executed (including ones whose results were
-    #: ultimately ignored because the GPU got there first)
-    cpu_groups_executed: int = 0
-    #: CPU subkernel launches
-    subkernels: int = 0
-    #: chunk sizes used, in launch order
+    #: chunk sizes of the completed CPU subkernels, in completion order;
+    #: their sum is the work-groups the CPU executed (including ones whose
+    #: results were ultimately ignored because the GPU got there first)
     chunks: List[int] = field(default_factory=list)
     #: groups launched beyond the useful windows by covering slices (§5.2)
     surplus_groups: int = 0
@@ -40,13 +37,13 @@ class KernelRecord:
     end_time: float = 0.0
     #: (start, end) of the GPU-side kernel command
     gpu_span: Tuple[float, float] = (0.0, 0.0)
-    #: the primary worker front's adaptive chunker (None until its
-    #: scheduler gets past the §5.3 version wait)
-    chunker: Optional[Any] = None
-    #: every worker front's chunker, by device name (N-device sets)
-    chunkers: Dict[str, Any] = field(default_factory=dict)
     #: groups *executed* per worker front, by device name
     front_groups: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def subkernels(self) -> int:
+        """Completed CPU subkernels."""
+        return len(self.chunks)
 
     @property
     def duration(self) -> float:
@@ -62,7 +59,7 @@ class KernelRecord:
     @property
     def wasted_cpu_groups(self) -> int:
         """CPU work that arrived too late to be counted."""
-        return max(0, self.cpu_groups_executed - self.cpu_groups)
+        return max(0, sum(self.chunks) - self.cpu_groups)
 
     def summary(self) -> str:
         return (

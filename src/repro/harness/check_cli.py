@@ -16,7 +16,7 @@ import argparse
 import os
 import time
 from dataclasses import replace
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.check.fuzzer import (
     CORRUPTION_KINDS,
@@ -25,11 +25,31 @@ from repro.check.fuzzer import (
     run_config,
 )
 from repro.check.shrink import reproducer_source, shrink
+from repro.hw.machine import MACHINE_PRESETS
 from repro.polybench.suite import EXTENDED_SUITE
 
-__all__ = ["check_main"]
+__all__ = ["check_main", "name_list"]
 
 DEFAULT_REPRODUCER = os.path.join("out", "check-reproducer.py")
+
+
+def name_list(valid: Sequence[str]) -> Callable[[str], Tuple[str, ...]]:
+    """argparse ``type=`` for a comma-separated subset of ``valid``.
+
+    An unknown name is a usage error (exit status 2, valid names listed),
+    never a failed campaign or a lint finding (exit status 1).
+    """
+    def parse(text: str) -> Tuple[str, ...]:
+        names = tuple(text.split(","))
+        unknown = [name for name in names if name not in valid]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {', '.join(map(repr, unknown))} "
+                f"(choose from {', '.join(map(repr, valid))})"
+            )
+        return names
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,10 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget-s", type=float, default=None,
                         help="wall-clock budget in seconds; remaining seeds "
                              "are skipped once exceeded")
-    parser.add_argument("--apps", default=None,
+    parser.add_argument("--apps", default=EXTENDED_SUITE,
+                        type=name_list(EXTENDED_SUITE),
                         help="comma-separated benchmark subset "
                              f"(default: {','.join(EXTENDED_SUITE)})")
-    parser.add_argument("--machines", default=None,
+    parser.add_argument("--machines", default=("default",),
+                        type=name_list(sorted(MACHINE_PRESETS)),
                         help="comma-separated machine presets to round-robin "
                              "over the seeds (see MACHINE_PRESETS; default: "
                              "default)")
@@ -113,11 +135,8 @@ def _summarize(results: List[CheckResult], skipped: int,
 
 def check_main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    apps = tuple(args.apps.split(",")) if args.apps else EXTENDED_SUITE
-    machines = (tuple(args.machines.split(","))
-                if args.machines else ("default",))
-    fuzzer = ScheduleFuzzer(apps=apps, faults=not args.no_faults,
-                            jitter=not args.no_jitter, machines=machines,
+    fuzzer = ScheduleFuzzer(apps=args.apps, faults=not args.no_faults,
+                            jitter=not args.no_jitter, machines=args.machines,
                             serve=args.serve)
     began = time.monotonic()
     deadline = began + args.budget_s if args.budget_s is not None else None

@@ -36,6 +36,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.analysis.analyzer import analyze_specs
 from repro.analysis.diagnostics import LintReport, Severity
 from repro.analysis.known_bad import KNOWN_BAD_CASES
+from repro.harness.check_cli import name_list
 from repro.kernels.dsl import KernelSpec
 from repro.polybench.suite import EXTENDED_SUITE, SCALES, make_app
 
@@ -53,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "(see DESIGN.md, 'Static kernel analysis')."
         ),
     )
-    parser.add_argument("--apps", default=None,
+    parser.add_argument("--apps", default=EXTENDED_SUITE,
+                        type=name_list(EXTENDED_SUITE),
                         help="comma-separated benchmark subset "
                              f"(default: {','.join(EXTENDED_SUITE)})")
     parser.add_argument("--scale", default="test", choices=sorted(SCALES),
@@ -130,8 +132,7 @@ def _example_factories(directory: str) -> List[Tuple[str, Callable[[], KernelSpe
 
 def _gather_specs(args) -> List[Tuple[str, KernelSpec]]:
     specs: List[Tuple[str, KernelSpec]] = []
-    apps = tuple(args.apps.split(",")) if args.apps else EXTENDED_SUITE
-    for app_name in apps:
+    for app_name in args.apps:
         app = make_app(app_name, scale=args.scale)
         app_specs = app.kernel_specs()
         if app_specs is None:
@@ -203,9 +204,8 @@ def _pipelines_main(args) -> int:
     """Analyze every ``PipelineApp`` in the target set (FK4xx/FK5xx)."""
     from repro.workloads.pipeline import PipelineApp
 
-    apps = tuple(args.apps.split(",")) if args.apps else EXTENDED_SUITE
     reports = []
-    for app_name in apps:
+    for app_name in args.apps:
         app = make_app(app_name, scale=args.scale)
         if not isinstance(app, PipelineApp):
             continue

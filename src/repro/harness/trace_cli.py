@@ -3,8 +3,8 @@
 Runs one Polybench application under the FluidiCL runtime on a traced
 machine, then writes the typed event stream as Chrome-trace JSON (loadable
 in ``chrome://tracing`` / Perfetto) and prints the ASCII Gantt plus the
-run's metrics — all three views read the same
-:class:`~repro.obs.recorder.EventRecorder` stream.
+run's counters (``runtime.stats.extra``).  The JSON and the Gantt read
+the same :class:`~repro.obs.recorder.EventRecorder` stream.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.faults import FaultKind, FaultSchedule, install_faults
 from repro.harness.timeline import extract_spans, render_gantt
 from repro.hw.machine import build_machine
 from repro.obs.chrome import to_chrome_trace
-from repro.polybench.suite import SCALES, make_app
+from repro.polybench.suite import EXTENDED_SUITE, SCALES, make_app
 
 __all__ = ["trace_main", "run_traced_app", "first_kernel_strike_time"]
 
@@ -75,7 +75,7 @@ def _build_fault_schedule(kind: str, at: float, device: str) -> FaultSchedule:
 
 
 def _collect_metrics(runtime: FluidiCLRuntime) -> dict:
-    metrics = runtime.metrics.snapshot()
+    metrics = dict(runtime.stats.extra)
     metrics.update(
         pool_hits=runtime.pool.hits,
         pool_misses=runtime.pool.misses,
@@ -95,7 +95,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--app", default="gesummv",
+        "--app", default="gesummv", choices=EXTENDED_SUITE,
         help="benchmark to run (default: gesummv)",
     )
     parser.add_argument(

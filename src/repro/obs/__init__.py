@@ -10,25 +10,22 @@ overlap claims (§5.5/§7) are verified against:
   tracer: it turns every ``engine.trace`` call into one typed event, so
   the ASCII Gantt, the overlap assertions, the coherence monitor and the
   Chrome-trace export all read one stream.
-- :mod:`repro.obs.metrics` — counters / gauges / histograms behind a
-  per-run :class:`MetricsRegistry`; ``runtime.stats.extra`` is a mapping
-  view over its counters.
 - :mod:`repro.obs.chrome` — ``chrome://tracing`` / Perfetto JSON export.
+
+Run counters are not kept here: they live in the runtime's plain
+``stats.extra`` dict, per-kernel facts on each
+:class:`~repro.core.stats.KernelRecord` and per-job facts on each
+:class:`~repro.serve.job.JobRecord`.
 """
 
 from repro.obs.chrome import to_chrome_trace, write_chrome_trace
 from repro.obs.events import EventKind, EventSpan, Phase, TraceEvent, pair_spans
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.recorder import EventRecorder
 
 __all__ = [
-    "Counter",
     "EventKind",
     "EventRecorder",
     "EventSpan",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Phase",
     "TraceEvent",
     "pair_spans",

@@ -42,7 +42,7 @@ def to_chrome_trace(recorder: EventRecorder,
                     metrics: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Convert a recorder's event stream to a Chrome-trace JSON object.
 
-    ``metrics`` (e.g. ``MetricsRegistry.snapshot()``) is attached under
+    ``metrics`` (e.g. ``dict(runtime.stats.extra)``) is attached under
     ``otherData`` so the run's counters travel with its timeline.
     """
     tracks = recorder.tracks()

@@ -43,11 +43,10 @@ class StatusBoard:
         #: set when the kernel is finalized; late messages are discarded
         #: (paper §5.3, stale-data protection)
         self.finalized = False
-        self.updates: List[Tuple[float, int]] = []
         #: fired on every accepted update; the executor waits on this
         self.gate = Gate(engine, name=f"status:k{kernel_id}")
 
-    def update(self, now: float, frontier: int) -> bool:
+    def update(self, frontier: int) -> bool:
         """Record an arriving status message; returns False if discarded."""
         if self.finalized:
             return False
@@ -63,7 +62,6 @@ class StatusBoard:
             # an unlanded foreign window.  Either way: discard.
             return False
         self.frontier = frontier
-        self.updates.append((now, frontier))
         self.gate.fire(frontier)
         return True
 

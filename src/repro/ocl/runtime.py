@@ -37,7 +37,8 @@ class RunStats:
     kernels_enqueued: int = 0
     writes: int = 0
     reads: int = 0
-    #: per-kernel-name bookkeeping runtimes may extend
+    #: named run counters, a plain dict; FluidiCL registers every name it
+    #: counts (``merges``, ``subkernels_launched``, ...) as zero up front
     extra: Dict[str, Any] = field(default_factory=dict)
 
 

@@ -261,10 +261,16 @@ def run_serve(config: ServeConfig,
 
     simulated = machine.engine.now
     spec_by_name = {t.name: t for t in tenants}
+    latency_ticks: Dict[str, List[int]] = {name: [] for name in spec_by_name}
+    attained = dict.fromkeys(spec_by_name, 0)
+    for record in records:
+        if record.outcome == "done":
+            latency_ticks[record.job.tenant].append(record.latency_ticks)
+            attained[record.job.tenant] += record.slo_attained
     rows: Dict[str, Dict[str, float]] = {}
     for name, spec in spec_by_name.items():
         counts = server.stats.tenant_counts(name)
-        latencies = server.stats.latency_ticks.get(name, [])
+        latencies = latency_ticks[name]
         completed = counts["completed"]
         rows[name] = {
             "app": spec.app,
@@ -280,7 +286,7 @@ def run_serve(config: ServeConfig,
             "throughput": completed / simulated if simulated > 0 else 0.0,
             "shed_rate": (counts["shed"] / counts["submitted"]
                           if counts["submitted"] else 0.0),
-            "slo_attainment": (server.stats.attained.get(name, 0) / completed
+            "slo_attainment": (attained[name] / completed
                                if completed else 0.0),
             "max_queue_depth": float(server.stats.peak_depth.get(name, 0)),
         }
@@ -291,8 +297,7 @@ def run_serve(config: ServeConfig,
                            if totals["submitted"] else 0.0)
     totals["throughput"] = (totals["completed"] / simulated
                             if simulated > 0 else 0.0)
-    attained = sum(server.stats.attained.values())
-    totals["slo_attainment"] = (attained / totals["completed"]
+    totals["slo_attainment"] = (sum(attained.values()) / totals["completed"]
                                 if totals["completed"] else 0.0)
 
     return ServeReport(

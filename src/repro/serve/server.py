@@ -34,10 +34,9 @@ scaled down to the paper's node:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Mapping, Optional, Tuple
 
 from repro.hw.machine import Machine
-from repro.obs.metrics import MetricsRegistry
 from repro.ocl.platform import Platform
 from repro.serve.job import Job, JobRecord, JobRejected
 from repro.serve.profile import AppProfile
@@ -49,33 +48,35 @@ from repro.sim.timebase import from_ticks
 __all__ = ["Server", "ServerStats"]
 
 
+#: the per-tenant job counts a server keeps, in lifecycle order
+_COUNTS = ("submitted", "admitted", "shed", "completed", "failed")
+
+
 class ServerStats:
-    """Counters, histograms and exact latency ledgers of one serving run."""
+    """Per-tenant job counts and queue high-water marks of one server.
+
+    Per-job facts (latency, SLO attainment) live on each
+    :class:`~repro.serve.job.JobRecord`; these counts are what a bare
+    :class:`Server`, which holds no record list, can still answer.
+    """
 
     def __init__(self):
-        self.metrics = MetricsRegistry()
-        #: injector compatibility: ``server.stats.extra["faults_injected"]``
-        self.extra = self.metrics.counter_view()
-        self.extra["faults_injected"] = 0
-        #: per-tenant exact completion latencies in ticks (report-grade
-        #: percentiles; the obs histograms keep a bounded sample window)
-        self.latency_ticks: Dict[str, List[int]] = {}
-        #: per-tenant SLO-attained completion counts
-        self.attained: Dict[str, int] = {}
+        #: per-tenant counts, keyed by tenant then by a name in ``_COUNTS``
+        self.counts: Dict[str, Dict[str, int]] = {}
         #: per-tenant high-water queue depth
         self.peak_depth: Dict[str, int] = {}
+        #: injector compatibility: ``server.stats.extra["faults_injected"]``
+        self.extra = {"faults_injected": 0}
 
     def _count(self, name: str, tenant: str) -> None:
-        self.metrics.counter(f"serve.{name}").inc()
-        self.metrics.counter(f"serve.{tenant}.{name}").inc()
+        counts = self.counts.get(tenant)
+        if counts is None:
+            counts = self.counts[tenant] = dict.fromkeys(_COUNTS, 0)
+        counts[name] += 1
 
     def tenant_counts(self, tenant: str) -> Dict[str, int]:
-        counters = self.metrics.counters
-        out = {}
-        for name in ("submitted", "admitted", "shed", "completed", "failed"):
-            counter = counters.get(f"serve.{tenant}.{name}")
-            out[name] = counter.value if counter is not None else 0
-        return out
+        counts = self.counts.get(tenant)
+        return dict(counts) if counts else dict.fromkeys(_COUNTS, 0)
 
 
 class Server:
@@ -164,7 +165,6 @@ class Server:
         peak = self.stats.peak_depth
         if depth > peak.get(job.tenant, 0):
             peak[job.tenant] = depth
-        self.stats.metrics.gauge(f"serve.{job.tenant}.queue_depth").set(depth)
         self.stats._count("admitted", job.tenant)
         engine.trace("job_admitted", job_id=job.job_id, tenant=job.tenant,
                      depth=depth)
@@ -206,11 +206,7 @@ class Server:
         self._vclock = best_start
         self._finish[best_tenant] = (
             best_start + 1.0 / self.weights.get(best_tenant, 1.0))
-        record = self._queues[best_tenant].popleft()
-        self.stats.metrics.gauge(
-            f"serve.{best_tenant}.queue_depth"
-        ).set(len(self._queues[best_tenant]))
-        return record
+        return self._queues[best_tenant].popleft()
 
     def _dispatch_loop(self):
         engine = self.engine
@@ -334,21 +330,10 @@ class Server:
         job = record.job
         record.done_ticks = engine.now_ticks
         record.outcome = outcome
-        latency_ticks = record.latency_ticks or 0
-        stats = self.stats
-        if outcome == "done":
-            stats._count("completed", job.tenant)
-            stats.latency_ticks.setdefault(job.tenant, []).append(
-                latency_ticks)
-            stats.metrics.histogram(f"serve.{job.tenant}.latency_ms").observe(
-                from_ticks(latency_ticks) * 1e3)
-            if record.slo_attained:
-                stats.attained[job.tenant] = (
-                    stats.attained.get(job.tenant, 0) + 1)
-        else:
-            stats._count("failed", job.tenant)
+        self.stats._count("completed" if outcome == "done" else "failed",
+                          job.tenant)
         engine.trace("job_done", job_id=job.job_id, tenant=job.tenant,
-                     outcome=outcome, latency=from_ticks(latency_ticks))
+                     outcome=outcome, latency=from_ticks(record.latency_ticks))
         self._inflight -= 1
         self._slot_free.fire(self._inflight)
         if record.done_event is not None:

@@ -495,8 +495,6 @@ class PipelineApp(PolybenchApp):
 
             raise LintError([report])
         self._emit_pipeline_findings(runtime, report)
-        if not getattr(config, "pipeline_sanitizer", True):
-            return None, None
         recorder = getattr(getattr(runtime, "machine", None), "tracer", None)
         if recorder is None or not hasattr(recorder, "add_listener"):
             return None, None
@@ -519,7 +517,6 @@ class PipelineApp(PolybenchApp):
         from repro.analysis.diagnostics import Severity
 
         engine = getattr(runtime, "engine", None)
-        metrics = getattr(runtime, "metrics", None)
         if engine is None:
             return
         seen = self._lint_seen(runtime)
@@ -529,8 +526,7 @@ class PipelineApp(PolybenchApp):
             if key in seen:
                 continue
             seen.add(key)
-            if metrics is not None:
-                metrics.counter("lint_findings").inc()
+            runtime.stats.extra["lint_findings"] += 1
             engine.trace(
                 "lint_finding", kernel=report.kernel, version="pipeline",
                 rule=finding.rule_id, severity=finding.severity.value,
@@ -543,7 +539,6 @@ class PipelineApp(PolybenchApp):
         if not sanitizer.violations:
             return
         engine = getattr(runtime, "engine", None)
-        metrics = getattr(runtime, "metrics", None)
         if engine is None:
             return
         seen = self._lint_seen(runtime)
@@ -553,8 +548,7 @@ class PipelineApp(PolybenchApp):
             if key in seen:
                 continue
             seen.add(key)
-            if metrics is not None:
-                metrics.counter("lint_findings").inc()
+            runtime.stats.extra["lint_findings"] += 1
             engine.trace(
                 "lint_finding", kernel=self.name, version="pipeline",
                 rule=violation.rule_id, severity="error", arg=None,

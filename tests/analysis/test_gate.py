@@ -109,7 +109,7 @@ class TestWarnGate:
         assert event["rule"] == "FK101"
         assert event["kernel"] == "mis_declared_scale"
         assert event["severity"] == "error"
-        assert runtime.metrics.counter("lint_findings").value == 1
+        assert runtime.stats.extra["lint_findings"] == 1
         # the kernel still ran
         assert len(runtime.records) == 1
 
@@ -140,7 +140,7 @@ class TestOffGate:
         runtime, machine, _, _ = _run(spec, lint="off", trace=True)
         assert not [e for e in machine.tracer.events
                     if e.kind is EventKind.LINT]
-        assert runtime.metrics.counter("lint_findings").value == 0
+        assert runtime.stats.extra["lint_findings"] == 0
 
     def test_config_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,7 @@ class TestCleanRuns:
                     if e.kind is EventKind.LINT]
 
     def test_sanitizer_disabled_by_config(self, monkeypatch):
+        """``lint="off"`` disables the sanitizer: a traced run builds none."""
         captured = []
         orig = PipelineSanitizer.__init__
 
@@ -124,13 +125,11 @@ class TestCleanRuns:
             captured.append(self)
 
         monkeypatch.setattr(PipelineSanitizer, "__init__", spy)
-        app = make_app("scan", scale="test")
-        machine = build_machine(trace=True)
-        runtime = FluidiCLRuntime(
-            machine,
-            config=FluidiCLConfig(lint="warn", pipeline_sanitizer=False))
-        app.execute(runtime, check=False)
-        assert captured == []
+        for lint in ("warn", "off"):
+            runtime = FluidiCLRuntime(build_machine(trace=True),
+                                      config=FluidiCLConfig(lint=lint))
+            make_app("scan", scale="test").execute(runtime, check=False)
+        assert len(captured) == 1, "only the lint='warn' run builds one"
 
     def test_untraced_run_skips_the_sanitizer(self, monkeypatch):
         captured = []
@@ -233,7 +232,7 @@ class TestDivergenceDetection:
         rules = {e.get("rule") for e in lint_events}
         assert "FK591" in rules, "the rogue commit must be flagged"
         assert "FK592" in rules, "the rogue read-back must be flagged"
-        assert runtime.metrics.counter("lint_findings").value >= 2
+        assert runtime.stats.extra["lint_findings"] >= 2
 
     def test_strict_raises_at_the_rogue_commit(self):
         app = RogueApp()

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from repro.harness.__main__ import main
 from repro.harness.check_cli import check_main
 
@@ -66,3 +68,16 @@ class TestCheckCli:
         ])
         assert code == 1
         assert os.path.exists(os.path.join("out", "check-reproducer.py"))
+
+    @pytest.mark.parametrize("flag,names,valid", [
+        ("--apps", "gesummv,nosuch", "'bicg'"),
+        ("--machines", "default,nosuch", "'cpu+2gpu'"),
+    ])
+    def test_unknown_name_is_a_usage_error(self, capsys, flag, names, valid):
+        """Exit status 2 with the valid names, not the campaign's "a seed
+        failed" status 1 (or a traceback)."""
+        with pytest.raises(SystemExit) as exit_info:
+            check_main(["--seeds", "1", flag, names])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'nosuch'" in err and valid in err

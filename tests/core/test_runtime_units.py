@@ -155,7 +155,9 @@ class TestRecords:
 
     def test_chunks_sum_to_cpu_executed(self):
         record = self._cooperative()
-        assert sum(record.chunks) == record.cpu_groups_executed
+        assert record.chunks
+        assert sum(record.chunks) == sum(record.front_groups.values())
+        assert record.subkernels == len(record.chunks)
 
     def test_wasted_cpu_work_nonnegative(self):
         record = self._cooperative()
@@ -303,13 +305,22 @@ class TestBackgroundBookkeeping:
 
 
 class TestChunkerAccounting:
-    def test_chunker_observations_use_launched_groups(self):
+    def test_chunker_observations_use_launched_groups(self, monkeypatch):
         """Regression (§5.2): a covering slice executes
         ``launched_groups = chunk + surplus``; the adaptive chunker must be
         fed what actually ran, or seconds-per-work-group is systematically
         overestimated on multi-dimensional ranges."""
+        from repro.core.chunking import AdaptiveChunker
         from repro.polybench import SyrkApp
 
+        observed = []
+        observe = AdaptiveChunker.observe
+
+        def spy(self, groups, elapsed):
+            observed.append(groups)
+            return observe(self, groups, elapsed)
+
+        monkeypatch.setattr(AdaptiveChunker, "observe", spy)
         machine = build_machine(trace=True)
         runtime = FluidiCLRuntime(machine)
         app = SyrkApp(n=768)
@@ -324,17 +335,11 @@ class TestChunkerAccounting:
         assert any(e.attrs["surplus_groups"] > 0 for e in launches), (
             "test needs a covering slice with surplus to be meaningful"
         )
-        by_kernel = {}
         for event in launches:
-            by_kernel.setdefault(event.attrs["kernel_id"], []).append(event)
-        for record in runtime.records:
-            chunker = getattr(record, "chunker", None)
-            events = by_kernel.get(record.kernel_id, [])
-            if chunker is None or not events:
-                continue
-            assert len(chunker.history) == len(events)
-            for (observed_groups, _avg), event in zip(chunker.history, events):
-                assert observed_groups == event.attrs["launched_groups"]
-                assert event.attrs["launched_groups"] == (
-                    event.attrs["chunk"] + event.attrs["surplus_groups"]
-                )
+            assert event.attrs["launched_groups"] == (
+                event.attrs["chunk"] + event.attrs["surplus_groups"]
+            )
+        # one worker front: one observation per completed launch
+        assert sorted(observed) == sorted(
+            e.attrs["launched_groups"] for e in launches
+        )

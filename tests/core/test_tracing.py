@@ -1,4 +1,4 @@
-"""Observability layer: recorder, metrics, Chrome export, overlap properties.
+"""Observability layer: recorder, Chrome export, overlap properties.
 
 The last class holds the §5.5/§5.6 overlap assertions the paper motivates:
 they are expressed against the typed event stream, the same stream the
@@ -16,7 +16,6 @@ from repro.hw.machine import build_machine
 from repro.obs import (
     EventKind,
     EventRecorder,
-    MetricsRegistry,
     Phase,
     pair_spans,
     to_chrome_trace,
@@ -100,70 +99,6 @@ class TestEventRecorder:
 
 
 # ----------------------------------------------------------------------
-# Metrics registry
-# ----------------------------------------------------------------------
-class TestMetrics:
-    def test_counter_is_monotonic(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("merges")
-        counter.inc()
-        counter.inc(3)
-        assert counter.value == 4
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_counter_view_preserves_dict_interface(self):
-        registry = MetricsRegistry()
-        view = registry.counter_view()
-        view.update(merges=0, reads=0)
-        view["merges"] += 1
-        assert view["merges"] == 1
-        assert set(view) == {"merges", "reads"}
-        assert dict(view) == {"merges": 1, "reads": 0}
-
-    def test_counter_view_rejects_decrease_and_delete(self):
-        registry = MetricsRegistry()
-        view = registry.counter_view()
-        view["n"] = 5
-        with pytest.raises(ValueError):
-            view["n"] = 2
-        with pytest.raises(TypeError):
-            del view["n"]
-
-    def test_missing_counter_raises_keyerror(self):
-        view = MetricsRegistry().counter_view()
-        with pytest.raises(KeyError):
-            view["nope"]
-
-    def test_histogram_summary(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("kernel_seconds")
-        for value in (1.0, 3.0, 2.0):
-            hist.observe(value)
-        summary = hist.summary()
-        assert summary["count"] == 3
-        assert summary["min"] == 1.0 and summary["max"] == 3.0
-        assert summary["mean"] == pytest.approx(2.0)
-
-    def test_name_collision_across_types_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.histogram("x")
-
-    def test_snapshot_is_flat_and_json_serializable(self):
-        registry = MetricsRegistry()
-        registry.counter("merges").inc(2)
-        registry.gauge("chunk").set(128.0)
-        registry.histogram("t").observe(0.5)
-        snapshot = registry.snapshot()
-        assert snapshot["merges"] == 2
-        assert snapshot["chunk"] == 128.0
-        assert snapshot["t.count"] == 1
-        json.dumps(snapshot)
-
-
-# ----------------------------------------------------------------------
 # End-to-end: one traced cooperative run feeds every consumer
 # ----------------------------------------------------------------------
 def _traced_run(n=16384, gpu_eff=0.4, cpu_eff=0.6):
@@ -199,7 +134,7 @@ class TestTracedRun:
     def test_chrome_trace_is_valid(self):
         machine, runtime = _traced_run()
         trace = to_chrome_trace(machine.tracer, process_name="test",
-                                metrics=runtime.metrics.snapshot())
+                                metrics=dict(runtime.stats.extra))
         events = trace["traceEvents"]
         assert events, "expected a non-empty traceEvents array"
         assert {e["ph"] for e in events} <= {"X", "i", "M"}

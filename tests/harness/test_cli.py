@@ -61,3 +61,10 @@ class TestTraceSubcommand:
                      "--out", str(out_path)]) == 0
         printed = capsys.readouterr().out
         assert "busy" not in printed  # Gantt rows end with "NN% busy"
+
+    def test_unknown_app_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--app", "nosuch"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'nosuch'" in err and "'gesummv'" in err

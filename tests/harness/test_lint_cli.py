@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.harness.__main__ import main as harness_main
 from repro.harness.lint_cli import _example_factories, lint_main
 
@@ -62,6 +64,14 @@ class TestLintMain:
         code = harness_main(["lint", "--apps", "gemm", "--no-examples"])
         assert code == 0
         assert "analyzed" in capsys.readouterr().out
+
+    def test_unknown_app_is_a_usage_error(self, capsys):
+        """Exit status 2 with the valid names, not the "findings" status 1."""
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main(["--apps", "nosuch", "--no-examples"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'nosuch'" in err and "'gemm'" in err
 
 
 class TestExampleDiscovery:

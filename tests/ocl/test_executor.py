@@ -101,31 +101,31 @@ class TestStatusBoard:
 
     def test_update_moves_frontier_down(self, engine):
         board = StatusBoard(engine, 100)
-        assert board.update(0.0, 80)
+        assert board.update(80)
         assert board.covered(80)
         assert not board.covered(79)
         assert board.cpu_completed_groups == 20
 
     def test_stale_update_discarded(self, engine):
         board = StatusBoard(engine, 100)
-        board.update(0.0, 60)
-        assert not board.update(1.0, 70)
+        board.update(60)
+        assert not board.update(70)
         assert board.frontier == 60
 
     def test_finalized_discards(self, engine):
         board = StatusBoard(engine, 100)
         board.finalize()
-        assert not board.update(0.0, 10)
+        assert not board.update(10)
 
     def test_out_of_range_rejected(self, engine):
         board = StatusBoard(engine, 100)
         with pytest.raises(ValueError):
-            board.update(0.0, 101)
+            board.update(101)
 
     def test_gate_fires_on_update(self, engine):
         board = StatusBoard(engine, 100)
         wait = board.gate.wait()
-        board.update(0.0, 50)
+        board.update(50)
         assert engine.run(wait) == 50
 
 
@@ -145,7 +145,7 @@ class TestAbortProtocol:
 
         def deliver():
             yield machine.engine.timeout(max(0.0, wave_begin + cover_at))
-            board.update(machine.engine.now, frontier)
+            board.update(frontier)
 
         machine.engine.process(deliver())
         event, y = launch(machine, gpu, queue, spec, n_groups * 16,

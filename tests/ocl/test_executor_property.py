@@ -52,7 +52,7 @@ def test_abort_accounting_invariants(updates, abort_in_loops):
     for at, frontier in zip(times, frontiers):
         def deliver(at=at, frontier=frontier):
             yield machine.engine.timeout(at * t_wg * 3)
-            board.update(machine.engine.now, frontier)
+            board.update(frontier)
         machine.engine.process(deliver())
 
     x = gpu.create_buffer((N_GROUPS * LOCAL,), np.float32)

@@ -98,3 +98,69 @@ class TestRunServe:
         run_serve(small(requests=20), trace_path=str(path))
         events = json.loads(path.read_text())["traceEvents"]
         assert any(e.get("name") == "job_done" for e in events)
+
+
+#: report row fields, in ``ServeReport.tenants`` order
+_ROW = ("app", "slo", "submitted", "admitted", "shed", "completed", "failed",
+        "p50_ms", "p95_ms", "p99_ms", "throughput", "shed_rate",
+        "slo_attainment", "max_queue_depth")
+_TOTALS = ("submitted", "admitted", "shed", "completed", "failed",
+           "shed_rate", "throughput", "slo_attainment")
+
+#: (config, per-tenant rows, totals): one overloaded run whose faults
+#: strike (jobs shed, jobs failed, SLOs missed) and one closed-loop run
+PINNED = {
+    "overload-faults": (
+        dict(seed=0, requests=300, n_tenants=3, utilization=1.5,
+             max_queue_depth=32, max_inflight=2, fault_seed=2, fault_n=3),
+        {
+            "tenant0": ("bicg", "interactive", 162.0, 121.0, 41.0, 121.0,
+                        0.0, 17.638977544611034, 25.451009659085315,
+                        25.704626904398577, 1255.8908552044054,
+                        0.25308641975308643, 0.5289256198347108, 32.0),
+            "tenant1": ("gesummv", "interactive", 62.0, 62.0, 0.0, 42.0,
+                        20.0, 7.018180720185462, 14.044548401481904,
+                        16.829072498018064, 435.92905717838863, 0.0, 1.0,
+                        20.0),
+            "tenant2": ("scan", "batch", 76.0, 76.0, 0.0, 76.0, 0.0,
+                        25.330742752771897, 39.32982567397634,
+                        40.86869375125088, 788.8240082275604, 0.0, 1.0,
+                        32.0),
+        },
+        (300.0, 259.0, 41.0, 239.0, 20.0, 0.13666666666666666,
+         2480.643920610354, 0.7615062761506276),
+    ),
+    "closed-loop": (
+        dict(seed=2, requests=300, n_tenants=3, arrival="closed",
+             clients=24, utilization=1.5),
+        {
+            "tenant0": ("spmv", "batch", 149.0, 149.0, 0.0, 149.0, 0.0,
+                        1.220776695678622, 2.5898849559141905,
+                        3.158007292364991, 3219.6130420631685, 0.0, 1.0,
+                        12.0),
+            "tenant1": ("histogram", "batch", 79.0, 79.0, 0.0, 79.0, 0.0,
+                        1.8282817351927527, 3.8716363776645895,
+                        4.0852356693161145, 1707.0431565301362, 0.0, 1.0,
+                        9.0),
+            "tenant2": ("atax", "interactive", 72.0, 72.0, 0.0, 72.0, 0.0,
+                        1.5111763210780578, 3.576399542033713,
+                        4.195903216174515, 1555.786167976833, 0.0, 1.0,
+                        8.0),
+        },
+        (300.0, 300.0, 0.0, 300.0, 0.0, 0.0, 6482.442366570138, 1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_report_numbers_are_pinned(name):
+    """Every per-tenant and total number of the report, exactly: the
+    percentiles, throughput, SLO attainment and queue high-water marks."""
+    config, rows, totals = PINNED[name]
+    report = run_serve(ServeConfig(**config)).to_json()
+    if name == "overload-faults":
+        assert report["faults_injected"] == 3
+    assert report["tenants"] == {
+        tenant: dict(zip(_ROW, row)) for tenant, row in rows.items()
+    }
+    assert report["totals"] == dict(zip(_TOTALS, totals))
