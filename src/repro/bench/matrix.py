@@ -36,17 +36,15 @@ class AppCase:
     def id(self) -> str:
         return f"app.{self.app}.{self.scale}.{self.machine}.{self.config}"
 
-    def build_machine(self):
-        from repro.hw.machine import build_machine
-        from repro.hw.specs import TESLA_C2070
+    def device_set(self):
+        """The run entry point's ``machine``: the preset of that name, or
+        for ``half-gpu`` the default pair with its GPU at half rate."""
+        from repro.hw.machine import MACHINE_PRESETS
 
-        if self.machine == "default":
-            return build_machine()
         if self.machine == "half-gpu":
-            return build_machine(gpu=TESLA_C2070.scaled(0.5))
-        if self.machine == "cpu+2gpu":
-            return build_machine(preset="cpu+2gpu")
-        raise ValueError(f"unknown machine preset {self.machine!r}")
+            (gpu, gpu_link), cpu = MACHINE_PRESETS["default"]
+            return [(gpu.scaled(0.5), gpu_link), cpu]
+        return self.machine
 
     def build_config(self):
         from repro.core.config import FluidiCLConfig
@@ -90,6 +88,7 @@ def run_app_matrix(smoke: bool = False, repeats: int = 3, warmup: int = 1,
                    ) -> List[BenchResult]:
     """Measure every (selected) matrix case; see :mod:`repro.bench`."""
     from repro.core.runtime import FluidiCLRuntime
+    from repro.harness.runner import measure_app, single_device_times
     from repro.polybench.suite import make_app
 
     matrix = SMOKE_MATRIX if smoke else APP_MATRIX
@@ -105,10 +104,10 @@ def run_app_matrix(smoke: bool = False, repeats: int = 3, warmup: int = 1,
                             {"case": case.id})
 
         def run_once(case=case, app=app, inputs=inputs):
-            machine = case.build_machine()
-            runtime = FluidiCLRuntime(machine, config=case.build_config())
-            result = app.execute(runtime, inputs=inputs, check=False)
-            runtime.drain()
+            result, runtime, _machine = measure_app(
+                app, lambda m: FluidiCLRuntime(m, config=case.build_config()),
+                machine=case.device_set(), inputs=inputs, check=False,
+            )
             return {
                 "elapsed": result.elapsed,
                 "kernels": runtime.stats.kernels_enqueued,
@@ -122,7 +121,8 @@ def run_app_matrix(smoke: bool = False, repeats: int = 3, warmup: int = 1,
         # Simulated speedup over the best single device (paper metric).
         # Computed on the same machine preset and inputs, outside the
         # timed region — it is context, not the thing being measured.
-        single = single_device_times_for(case, app, inputs)
+        single = single_device_times(app, inputs=inputs, check=False,
+                                     machine=case.device_set())
         best_single = min(single.values())
         speedup = best_single / info["elapsed"] if info["elapsed"] else 0.0
 
@@ -152,17 +152,3 @@ def run_app_matrix(smoke: bool = False, repeats: int = 3, warmup: int = 1,
                              "wall_seconds": result.wall_seconds,
                              "simulated_seconds": result.simulated_seconds})
     return results
-
-
-def single_device_times_for(case: AppCase, app, inputs):
-    """Single-device simulated seconds on this case's machine preset."""
-    from repro.hw.specs import DeviceKind
-    from repro.ocl.runtime import SingleDeviceRuntime
-
-    times = {}
-    for label, kind in (("gpu", DeviceKind.GPU), ("cpu", DeviceKind.CPU)):
-        machine = case.build_machine()
-        runtime = SingleDeviceRuntime(machine, kind)
-        result = app.execute(runtime, inputs=inputs, check=False)
-        times[label] = result.elapsed
-    return times

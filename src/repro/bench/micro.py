@@ -10,6 +10,7 @@ compare like-for-like.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -116,50 +117,28 @@ def _cached_inputs(app) -> dict:
     return inputs
 
 
-def _subkernel_launch_rate(n: int) -> dict:
+def _subkernel_launch_rate(n: int, preset: str = "default") -> dict:
     """One cooperative kernel tuned for many small CPU subkernels.
 
     ``n`` is the problem size; a 2% non-growing chunk makes the CPU
     scheduler launch ~tens of subkernels, exercising the per-launch
-    variant/kernel construction, queue traffic and status shipping.
+    variant/kernel construction, queue traffic and status shipping.  On
+    an N-device ``preset`` it also exercises the worker schedulers
+    claiming off the shared front ledger, per-front landing buffers and
+    pairwise merges.
     """
     from repro.core.config import FluidiCLConfig
     from repro.core.runtime import FluidiCLRuntime
-    from repro.hw.machine import build_machine
+    from repro.harness.runner import measure_app
     from repro.polybench.suite import make_app
 
-    machine = build_machine()
     config = FluidiCLConfig(initial_chunk_fraction=0.02,
                             chunk_step_fraction=0.0)
-    runtime = FluidiCLRuntime(machine, config=config)
     app = make_app("gesummv", "test", size=n)
-    result = app.execute(runtime, inputs=_cached_inputs(app), check=False)
-    runtime.drain()
-    launched = runtime.stats.extra["subkernels_launched"]
-    return {"work": launched, "simulated": result.elapsed,
-            "meta": {"size": n, "subkernels": launched}}
-
-
-def _subkernel_launch_rate_3dev(n: int) -> dict:
-    """The subkernel-launch micro on a three-device ``cpu+2gpu`` set.
-
-    Exercises the N-way device-set path: two worker schedulers claiming
-    off the shared front ledger, per-front landing buffers and pairwise
-    merges.  A new case id — the two-device baseline history stays
-    comparable.
-    """
-    from repro.core.config import FluidiCLConfig
-    from repro.core.runtime import FluidiCLRuntime
-    from repro.hw.machine import build_machine
-    from repro.polybench.suite import make_app
-
-    machine = build_machine(preset="cpu+2gpu")
-    config = FluidiCLConfig(initial_chunk_fraction=0.02,
-                            chunk_step_fraction=0.0)
-    runtime = FluidiCLRuntime(machine, config=config)
-    app = make_app("gesummv", "test", size=n)
-    result = app.execute(runtime, inputs=_cached_inputs(app), check=False)
-    runtime.drain()
+    result, runtime, _machine = measure_app(
+        app, lambda m: FluidiCLRuntime(m, config=config), machine=preset,
+        inputs=_cached_inputs(app), check=False,
+    )
     launched = runtime.stats.extra["subkernels_launched"]
     return {"work": launched, "simulated": result.elapsed,
             "meta": {"size": n, "subkernels": launched}}
@@ -256,7 +235,7 @@ MICRO_BENCHMARKS = (
     MicroCase("subkernel_launch", "subkernels/s", 1024, 256,
               _subkernel_launch_rate),
     MicroCase("subkernel_launch.3dev", "subkernels/s", 1024, 256,
-              _subkernel_launch_rate_3dev),
+              functools.partial(_subkernel_launch_rate, preset="cpu+2gpu")),
     MicroCase("host_roundtrip", "ops/s", 300, 50, _host_roundtrip),
     MicroCase("fuzzer_seeds", "seeds/s", 6, 2, _fuzzer_seeds),
     MicroCase("serve_dispatch", "jobs/s", 5_000, 500, _serve_dispatch),

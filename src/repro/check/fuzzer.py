@@ -28,7 +28,7 @@ from repro.core.runtime import FluidiCLRuntime
 from repro.faults.injector import install_faults
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.hw.machine import MACHINE_PRESETS, build_machine
-from repro.hw.specs import DeviceKind, TESLA_C2070, XEON_W3550
+from repro.hw.specs import DeviceKind
 from repro.obs.events import TraceEvent
 from repro.ocl.health import DeviceLostError
 from repro.polybench.common import DEFAULT_RTOL
@@ -401,29 +401,18 @@ def run_config(config: FuzzConfig, rtol: float = DEFAULT_RTOL,
             wall_seconds=time.perf_counter() - wall_start,
             error=f"not fluidic-safe: {detail}",
         )
-    if config.machine == "default":
-        machine = build_machine(
-            gpu=TESLA_C2070.scaled(config.gpu_scale),
-            cpu=XEON_W3550.scaled(config.cpu_scale),
-            trace=True,
-            interleave_seed=config.jitter_seed,
+    if config.machine not in MACHINE_PRESETS:
+        raise ValueError(
+            f"unknown machine preset {config.machine!r}; "
+            f"have {sorted(MACHINE_PRESETS)}"
         )
-    else:
-        if config.machine not in MACHINE_PRESETS:
-            raise ValueError(
-                f"unknown machine preset {config.machine!r}; "
-                f"have {sorted(MACHINE_PRESETS)}"
-            )
-        devices = [
-            (spec.scaled(config.gpu_scale if spec.kind is DeviceKind.GPU
-                         else config.cpu_scale), link)
-            for spec, link in MACHINE_PRESETS[config.machine]
-        ]
-        machine = build_machine(
-            devices=devices,
-            trace=True,
-            interleave_seed=config.jitter_seed,
-        )
+    devices = [
+        (spec.scaled(config.gpu_scale if spec.kind is DeviceKind.GPU
+                     else config.cpu_scale), link)
+        for spec, link in MACHINE_PRESETS[config.machine]
+    ]
+    machine = build_machine(devices=devices, trace=True,
+                            interleave_seed=config.jitter_seed)
     runtime = FluidiCLRuntime(machine, config=config.runtime_config())
     monitor = CoherenceMonitor().attach(machine.tracer)
     if config.corruption:

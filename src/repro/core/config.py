@@ -38,14 +38,11 @@ class FluidiCLConfig:
     online_profiling: bool = False
     #: size of the CPU-to-GPU execution status message, bytes
     status_message_bytes: int = 64
-    #: arm the per-kernel watchdog that escalates a silent device to lost
-    watchdog: bool = True
-    #: seconds without device progress before the watchdog declares loss
+    #: seconds without device progress before the per-kernel watchdog
+    #: escalates a silent device to lost
     watchdog_timeout: float = 0.25
     #: bounded-retry budget for transiently failing H2D/D2H transfers
     transfer_max_retries: int = 4
-    #: base backoff before the first transfer retry (doubles per attempt)
-    transfer_retry_backoff: float = 2e-5
     #: fluidity lint gate before cooperative launch (repro.analysis):
     #: "strict" refuses kernels that are not fluidic-safe, "warn" emits
     #: lint_finding events and launches anyway, "off" skips the analysis
@@ -62,8 +59,6 @@ class FluidiCLConfig:
             raise ValueError("watchdog_timeout must be positive")
         if self.transfer_max_retries < 0:
             raise ValueError("transfer_max_retries must be >= 0")
-        if self.transfer_retry_backoff < 0:
-            raise ValueError("transfer_retry_backoff must be >= 0")
         if self.lint not in ("off", "warn", "strict"):
             raise ValueError(
                 f"lint must be 'off', 'warn' or 'strict', got {self.lint!r}"

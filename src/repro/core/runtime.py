@@ -162,7 +162,6 @@ class FluidiCLRuntime(AbstractRuntime):
         # for transiently failing transfers on every device.
         for device in self.platform.devices:
             device.health.max_transfer_retries = self.config.transfer_max_retries
-            device.health.retry_backoff = self.config.transfer_retry_backoff
         #: a worker-front loss is reported as one failover, at the end of
         #: the first kernel it affects — once per front, not per kernel
         self._front_loss_traced: set = set()
@@ -272,10 +271,8 @@ class FluidiCLRuntime(AbstractRuntime):
         self.engine.trace("buffer_read", buffer=handle.name,
                           source=device.name, nbytes=handle.nbytes,
                           version=handle.latest)
-        if self.config.watchdog:
-            KernelWatchdog(self, device, event.done,
-                           self.config.watchdog_timeout,
-                           label=f"read {handle.name}")
+        KernelWatchdog(self, device, event.done, self.config.watchdog_timeout,
+                       label=f"read {handle.name}")
         self.machine.run_until(event.done)
         if event.cancelled:
             # Never hand back the (zero-filled) destination as if it were
@@ -440,10 +437,9 @@ class FluidiCLRuntime(AbstractRuntime):
         # pthread scheduler.
         schedulers = [CpuScheduler(self, plan, front=front)
                       for front in workers]
-        if self.config.watchdog:
-            KernelWatchdog(self, self.gpu_device, plan.gpu_event.done,
-                           self.config.watchdog_timeout,
-                           label=f"kernel k{kernel_id}")
+        KernelWatchdog(self, self.gpu_device, plan.gpu_event.done,
+                       self.config.watchdog_timeout,
+                       label=f"kernel k{kernel_id}")
         self.machine.run_until(plan.gpu_event.done)
 
         if plan.gpu_event.cancelled:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import time
 from typing import List, Optional
 
@@ -32,7 +31,7 @@ from repro.bench.snapshot import (
     next_snapshot_path,
 )
 from repro.harness.report import format_table
-from repro.obs.chrome import to_chrome_trace
+from repro.obs.chrome import write_chrome_trace
 from repro.obs.recorder import EventRecorder
 
 __all__ = ["bench_main", "run_bench", "render_results", "render_comparison"]
@@ -211,12 +210,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         snapshot.dump(out_path)
 
     if recorder is not None:
-        trace = to_chrome_trace(recorder, process_name="repro.bench")
-        trace_dir = os.path.dirname(args.trace_out)
-        if trace_dir:
-            os.makedirs(trace_dir, exist_ok=True)
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(trace, handle, indent=1)
+        write_chrome_trace(args.trace_out, recorder, process_name="repro.bench")
 
     if args.json:
         payload = snapshot.to_dict()

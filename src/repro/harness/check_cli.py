@@ -28,7 +28,7 @@ from repro.check.shrink import reproducer_source, shrink
 from repro.hw.machine import MACHINE_PRESETS
 from repro.polybench.suite import EXTENDED_SUITE
 
-__all__ = ["check_main", "name_list"]
+__all__ = ["check_main", "name_list", "bounded"]
 
 DEFAULT_REPRODUCER = os.path.join("out", "check-reproducer.py")
 
@@ -52,6 +52,31 @@ def name_list(valid: Sequence[str]) -> Callable[[str], Tuple[str, ...]]:
     return parse
 
 
+def bounded(kind: Callable[[str], float], low: float,
+            high: Optional[float] = None, *,
+            exclusive: bool = False) -> Callable[[str], float]:
+    """argparse ``type=`` for a number ``>= low`` (``> low`` when
+    ``exclusive``) and, with ``high``, ``< high``.
+
+    Like :func:`name_list`, an out-of-range value is a usage error (exit
+    status 2, the bound named) before anything runs, never a failed run.
+    """
+    rule = f"{'>' if exclusive else '>='} {low}"
+    if high is not None:
+        rule += f" and < {high}"
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        inside = value > low if exclusive else value >= low
+        if not inside or (high is not None and not value < high):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" error
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness check",
@@ -60,11 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "invariants online (see DESIGN.md, 'Schedule-space fuzzing')."
         ),
     )
-    parser.add_argument("--seeds", type=int, default=20,
+    parser.add_argument("--seeds", type=bounded(int, 1), default=20,
                         help="number of seeds to run (default: 20)")
     parser.add_argument("--start-seed", type=int, default=0,
                         help="first seed (campaigns are resumable by range)")
-    parser.add_argument("--budget-s", type=float, default=None,
+    parser.add_argument("--budget-s", type=bounded(float, 0), default=None,
                         help="wall-clock budget in seconds; remaining seeds "
                              "are skipped once exceeded")
     parser.add_argument("--apps", default=EXTENDED_SUITE,

@@ -12,8 +12,13 @@ from __future__ import annotations
 from repro.core.config import FluidiCLConfig
 from repro.core.runtime import FluidiCLRuntime
 from repro.harness.report import ExperimentResult, geomean
-from repro.harness.runner import fluidicl_time, single_device_times
-from repro.hw.machine import build_machine
+from repro.harness.runner import (
+    first_kernel_strike_time,
+    fluidicl_time,
+    measure_app,
+    single_device_times,
+)
+from repro.hw.machine import MACHINE_PRESETS, build_machine
 from repro.hw.specs import PCIE_GEN2_X16, XEON_PHI_5110P
 from repro.polybench.suite import EXTENDED_SUITE, PAPER_SUITE, make_app
 
@@ -101,7 +106,7 @@ def ablation_location_tracking(n: int = 2048) -> ExperimentResult:
     """
     from repro.harness.workloads import MatrixScaleApp
 
-    devices = [spec.name for spec, _link in build_machine().devices]
+    devices = [spec.name for spec, _link in MACHINE_PRESETS["default"]]
     result = ExperimentResult(
         "ext_location",
         "Cost of disabling data-location tracking (section 6.2)",
@@ -115,17 +120,15 @@ def ablation_location_tracking(n: int = 2048) -> ExperimentResult:
         ("tracking_on", FluidiCLConfig()),
         ("tracking_off", FluidiCLConfig(location_tracking=False)),
     ):
-        machine = build_machine()
-        runtime = FluidiCLRuntime(machine, config=config)
-        app_result = app.execute(runtime, inputs=inputs)
-        assert app_result.correct
-        runtime.drain()
+        run = measure_app(app, lambda m: FluidiCLRuntime(m, config=config),
+                          inputs=inputs)
+        runtime = run.runtime
         d2h = runtime.gpu_device.stats["bytes_d2h"]
         result.rows.append(
-            [label, app_result.elapsed, d2h]
+            [label, run.result.elapsed, d2h]
             + [runtime.stats.extra[f"reads_from[{d}]"] for d in devices]
         )
-        rows[label] = (app_result.elapsed, d2h)
+        rows[label] = (run.result.elapsed, d2h)
     saved = rows["tracking_off"][1] - rows["tracking_on"][1]
     result.notes.append(
         f"location tracking avoids {saved / 2**20:.1f} MiB of PCIe reads "
@@ -171,22 +174,17 @@ def what_if_xeon_phi(scale: str = "small", benchmarks=("syrk", "syr2k", "gemm"))
         "Second device swapped for a Xeon Phi 5110P (times in ms)",
         ["benchmark", "gpu_only", "fluidicl+w3550", "fluidicl+phi"],
     )
+    gpu, _cpu = MACHINE_PRESETS["default"]
+    phi_machine = [gpu, (XEON_PHI_5110P, PCIE_GEN2_X16)]
     for name in benchmarks:
         app = make_app(name, scale)
         inputs = app.fresh_inputs()
         gpu_only = single_device_times(app, inputs=inputs)["gpu"]
         fcl_cpu = fluidicl_time(app, inputs=inputs)
-
-        def phi_machine_factory(_machine_unused=None):
-            machine = build_machine(cpu=XEON_PHI_5110P, cpu_link=PCIE_GEN2_X16)
-            return machine
-
-        machine = phi_machine_factory()
-        runtime = FluidiCLRuntime(machine)
-        phi_result = app.execute(runtime, inputs=inputs)
-        assert phi_result.correct, f"{name} wrong with Phi device"
+        fcl_phi = measure_app(app, machine=phi_machine,
+                              inputs=inputs).result.elapsed
         result.rows.append([
-            name, gpu_only * 1e3, fcl_cpu * 1e3, phi_result.elapsed * 1e3,
+            name, gpu_only * 1e3, fcl_cpu * 1e3, fcl_phi * 1e3,
         ])
     result.notes.append(
         "the host program and runtime are unchanged; only the machine "
@@ -239,10 +237,6 @@ def what_if_machine_sweep(gpu_scales=(0.25, 0.5, 1.0, 2.0, 4.0),
     check FluidiCL tracks — or beats — the better device on every machine,
     with no per-machine tuning.
     """
-    from repro.hw.specs import TESLA_C2070
-    from repro.ocl.runtime import SingleDeviceRuntime
-    from repro.hw.specs import DeviceKind
-
     result = ExperimentResult(
         "ext_machines",
         f"FluidiCL across machines: GPU scaled 0.25x..4x ({benchmark})",
@@ -250,28 +244,16 @@ def what_if_machine_sweep(gpu_scales=(0.25, 0.5, 1.0, 2.0, 4.0),
     )
     app = make_app(benchmark, scale)
     inputs = app.fresh_inputs()
+    (gpu, gpu_link), cpu = MACHINE_PRESETS["default"]
     for factor in gpu_scales:
-        gpu_spec = TESLA_C2070.scaled(factor)
-
-        def machine_factory():
-            return build_machine(gpu=gpu_spec)
-
-        gpu_time = app.execute(
-            SingleDeviceRuntime(machine_factory(), DeviceKind.GPU),
-            inputs=inputs, check=False,
-        ).elapsed
-        cpu_time = app.execute(
-            SingleDeviceRuntime(machine_factory(), DeviceKind.CPU),
-            inputs=inputs, check=False,
-        ).elapsed
-        fcl_result = app.execute(
-            FluidiCLRuntime(machine_factory()), inputs=inputs
-        )
-        assert fcl_result.correct
-        best = min(cpu_time, gpu_time)
+        devices = [(gpu.scaled(factor), gpu_link), cpu]
+        single = single_device_times(app, inputs=inputs, check=False,
+                                     machine=devices)
+        fcl = measure_app(app, machine=devices, inputs=inputs).result.elapsed
+        best = min(single.values())
         result.rows.append([
-            f"{factor:g}x", cpu_time * 1e3, gpu_time * 1e3,
-            fcl_result.elapsed * 1e3, fcl_result.elapsed / best,
+            f"{factor:g}x", single["cpu"] * 1e3, single["gpu"] * 1e3,
+            fcl * 1e3, fcl / best,
         ])
     worst = max(row[4] for row in result.rows)
     result.notes.append(
@@ -291,7 +273,7 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
     copy of committed data.  The reference run doubles as the timing
     baseline for the reported slowdown.
     """
-    from repro.faults import FaultKind, FaultSchedule, install_faults
+    from repro.faults import FaultKind, FaultSchedule
 
     benchmarks = list(benchmarks or PAPER_SUITE)
     result = ExperimentResult(
@@ -311,29 +293,20 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
         app = make_app(name, scale)
         inputs = app.fresh_inputs()
 
-        machine = build_machine()
-        runtime = FluidiCLRuntime(machine)
-        base = app.execute(runtime, inputs=inputs, check=True)
-        assert base.correct, f"{name}: fault-free reference run wrong"
-        runtime.drain()
-        begin, end = runtime.records[0].gpu_span
-        strike = begin + 0.5 * (end - begin)
-
+        base = measure_app(app, inputs=inputs)
+        strike = first_kernel_strike_time(base)
         for label, kind, kwargs in cases:
-            machine = build_machine()
-            runtime = FluidiCLRuntime(machine)
-            install_faults(
-                runtime, FaultSchedule.single(kind, at=strike, **kwargs)
+            run = measure_app(
+                app, inputs=inputs,
+                faults=FaultSchedule.single(kind, at=strike, **kwargs),
             )
-            app_result = app.execute(runtime, inputs=inputs, check=True)
-            assert app_result.correct, f"{name} wrong under {label}"
-            runtime.drain()
+            runtime = run.runtime
             retries = (runtime.gpu_device.health.transfer_retries
                        + runtime.cpu_device.health.transfer_retries)
             result.rows.append([
-                name, label, app_result.correct,
+                name, label, run.result.correct,
                 runtime.stats.extra["failovers"], retries,
-                app_result.elapsed / base.elapsed,
+                run.result.elapsed / base.result.elapsed,
             ])
     result.notes.append(
         "numerics are bitwise-checked against the NumPy reference on every "

@@ -173,7 +173,6 @@ def _run_one(scenario: Scenario,
              trace_dir: Optional[str]) -> CheckResult:
     trace_path = None
     if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
         trace_path = os.path.join(trace_dir, f"{scenario.name}.trace.json")
     result = run_config(scenario.config, trace_path=trace_path)
     status = "FAIL" if result.failed else result.outcome

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
 
+from repro.harness.check_cli import bounded
 from repro.hw.machine import MACHINE_PRESETS
 from repro.serve.run import ServeConfig, run_serve
 from repro.serve.workload import TenantSpec
@@ -55,24 +57,28 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             "Multi-tenant serving load test with online coherence checking."
         ),
     )
-    parser.add_argument("--requests", type=int, default=10_000,
+    parser.add_argument("--requests", type=bounded(int, 1), default=10_000,
                         help="total request budget (default: 10000)")
     parser.add_argument("--seed", type=int, default=0,
                         help="workload seed (default: 0)")
     parser.add_argument("--arrival", default="poisson",
                         choices=("poisson", "burst", "closed"),
                         help="arrival model (default: poisson)")
-    parser.add_argument("--rate", type=float, default=None,
+    parser.add_argument("--rate", type=bounded(float, 0, exclusive=True),
+                        default=None,
                         help="open-loop arrival rate in jobs/s "
                              "(default: derived from --utilization)")
-    parser.add_argument("--utilization", type=float, default=0.7,
+    parser.add_argument("--utilization",
+                        type=bounded(float, 0, exclusive=True), default=0.7,
                         help="target offered load when deriving rate/think "
                              "time (default: 0.7)")
-    parser.add_argument("--burst-factor", type=float, default=4.0,
+    parser.add_argument("--burst-factor", type=bounded(float, 1), default=4.0,
                         help="MMPP ON-state rate multiplier (default: 4)")
-    parser.add_argument("--on-fraction", type=float, default=0.25,
+    parser.add_argument("--on-fraction",
+                        type=bounded(float, 0, 1, exclusive=True),
+                        default=0.25,
                         help="MMPP ON-state time fraction (default: 0.25)")
-    parser.add_argument("--clients", type=int, default=8,
+    parser.add_argument("--clients", type=bounded(int, 1), default=8,
                         help="closed-loop client count (default: 8)")
     parser.add_argument("--think", type=float, default=None,
                         help="closed-loop mean think time in seconds "
@@ -81,14 +87,14 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                         metavar="SPEC",
                         help="explicit mix as name:app:size:slo[:w[:share]]"
                              ",... (default: a seeded 3-tenant mix)")
-    parser.add_argument("--n-tenants", type=int, default=3,
+    parser.add_argument("--n-tenants", type=bounded(int, 1), default=3,
                         help="tenants in the default seeded mix (default: 3)")
     parser.add_argument("--machine", default="default",
                         choices=sorted(MACHINE_PRESETS),
                         help="machine preset (default: default)")
-    parser.add_argument("--depth", type=int, default=64,
+    parser.add_argument("--depth", type=bounded(int, 1), default=64,
                         help="per-tenant admission queue depth (default: 64)")
-    parser.add_argument("--inflight", type=int, default=4,
+    parser.add_argument("--inflight", type=bounded(int, 1), default=4,
                         help="max concurrently executing jobs (default: 4)")
     parser.add_argument("--faults", type=int, default=None, metavar="SEED",
                         help="install a seeded fault schedule (composes the "
@@ -146,6 +152,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         if args.json == "-":
             print(payload)
         else:
+            parent = os.path.dirname(args.json)
+            if parent:
+                os.makedirs(parent, exist_ok=True)
             with open(args.json, "w") as fh:
                 fh.write(payload + "\n")
             print(f"report written to {args.json}")

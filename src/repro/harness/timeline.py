@@ -5,10 +5,8 @@ Built from the event recorder, this answers "what actually overlapped?"
 Tests use it to assert overlap properties; humans use it to eyeball a
 FluidiCL schedule:
 
-    machine = build_machine(trace=True)
-    runtime = FluidiCLRuntime(machine)
-    ...
-    print(render_gantt(extract_spans(machine.tracer)))
+    run = measure_app(app, trace=True)   # repro.harness.runner
+    print(render_gantt(extract_spans(run.machine.tracer)))
 """
 
 from __future__ import annotations

@@ -10,55 +10,21 @@ the same :class:`~repro.obs.recorder.EventRecorder` stream.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.core.config import FluidiCLConfig
 from repro.core.runtime import FluidiCLRuntime
-from repro.faults import FaultKind, FaultSchedule, install_faults
+from repro.faults import FaultKind, FaultSchedule
+from repro.harness.check_cli import bounded
+from repro.harness.runner import first_kernel_strike_time, measure_app
 from repro.harness.timeline import extract_spans, render_gantt
-from repro.hw.machine import build_machine
-from repro.obs.chrome import to_chrome_trace
+from repro.obs.chrome import write_chrome_trace
 from repro.polybench.suite import EXTENDED_SUITE, SCALES, make_app
 
-__all__ = ["trace_main", "run_traced_app", "first_kernel_strike_time"]
+__all__ = ["trace_main"]
 
 #: generated artifacts live under ./out/ (git-ignored), not the repo root
 DEFAULT_TRACE_OUT = os.path.join("out", "fluidicl.trace.json")
-
-
-def run_traced_app(app_name: str, scale: str,
-                   config: Optional[FluidiCLConfig] = None,
-                   faults: Optional[FaultSchedule] = None
-                   ) -> Tuple[object, FluidiCLRuntime, object]:
-    """Execute ``app_name`` at ``scale`` under FluidiCL with tracing on."""
-    machine = build_machine(trace=True)
-    runtime = FluidiCLRuntime(machine, config=config)
-    if faults is not None:
-        install_faults(runtime, faults)
-    app = make_app(app_name, scale)
-    result = app.execute(runtime, check=True)
-    runtime.drain()
-    return machine, runtime, result
-
-
-def first_kernel_strike_time(app_name: str, scale: str) -> float:
-    """Midpoint of the first kernel's GPU execution span, learned from a
-    fault-free run.
-
-    A fault that should exercise the failover machinery must strike while
-    a kernel is actually executing; outside that window a lost device may
-    hold the sole copy of committed data, which no runtime can recover
-    (see DESIGN.md on the recoverability window).
-    """
-    machine = build_machine()
-    runtime = FluidiCLRuntime(machine)
-    app = make_app(app_name, scale)
-    app.execute(runtime, check=False)
-    runtime.drain()
-    begin, end = runtime.records[0].gpu_span
-    return begin + 0.5 * (end - begin)
 
 
 def _build_fault_schedule(kind: str, at: float, device: str) -> FaultSchedule:
@@ -124,7 +90,8 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--fault-at", type=float, default=None, metavar="SECONDS",
+        "--fault-at", type=bounded(float, 0), default=None,
+        metavar="SECONDS",
         help=(
             "simulated time the fault strikes (default: midpoint of the "
             "first kernel's GPU span, learned from a fault-free run)"
@@ -136,24 +103,21 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     scale = "test" if args.smoke else args.scale
+    app = make_app(args.app, scale)
 
     schedule = None
     if args.faults is not None:
         strike = args.fault_at
         if strike is None:
-            strike = first_kernel_strike_time(args.app, scale)
+            strike = first_kernel_strike_time(measure_app(app, check=False))
         schedule = _build_fault_schedule(args.faults, strike, args.fault_device)
 
-    machine, runtime, result = run_traced_app(args.app, scale, faults=schedule)
+    result, runtime, machine = measure_app(app, faults=schedule, trace=True)
     recorder = machine.tracer
     metrics = _collect_metrics(runtime)
-    trace = to_chrome_trace(recorder, process_name=f"fluidicl:{args.app}",
-                            metrics=metrics)
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(trace, handle, indent=1)
+    trace = write_chrome_trace(args.out, recorder,
+                               process_name=f"fluidicl:{args.app}",
+                               metrics=metrics)
 
     print(f"== trace: {args.app} @ {scale} "
           f"({result.elapsed * 1e3:.2f} ms simulated, "

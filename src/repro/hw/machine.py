@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.hw.interconnect import InterconnectSpec
 from repro.hw.specs import (
@@ -65,7 +65,7 @@ class Machine:
 #: unique within a preset: per-device counters, fault targets and buffer
 #: copies are keyed by device name.
 MACHINE_PRESETS = {
-    # the classic paper testbed (identical to the build_machine defaults)
+    # the classic paper testbed (what build_machine() builds)
     "default": (
         (TESLA_C2070, PCIE_GEN2_X16),
         (XEON_W3550, HOST_DDR3),
@@ -94,41 +94,36 @@ MACHINE_PRESETS = {
 
 
 def build_machine(
-    gpu: DeviceSpec = TESLA_C2070,
-    cpu: DeviceSpec = XEON_W3550,
-    gpu_link: InterconnectSpec = PCIE_GEN2_X16,
-    cpu_link: InterconnectSpec = HOST_DDR3,
-    host: HostSpec = DEFAULT_HOST,
+    *,
+    preset: Optional[str] = None,
+    devices: Optional[Sequence[Tuple[DeviceSpec, InterconnectSpec]]] = None,
     trace: bool = False,
     interleave_seed: Optional[int] = None,
-    devices: Optional[List[Tuple[DeviceSpec, InterconnectSpec]]] = None,
-    preset: Optional[str] = None,
 ) -> Machine:
-    """The default testbed: Tesla C2070 over PCIe 2.0 + Xeon W3550.
+    """A fresh node: a preset from :data:`MACHINE_PRESETS` or a device list.
 
-    Device order is [gpu, cpu] throughout the repository; device 0 is the
-    anchor front of the cooperative runtime.  N-device sets are built by
-    passing ``devices=[(spec, link), ...]`` explicitly or naming a
-    ``preset`` from :data:`MACHINE_PRESETS` — the two-device default path
-    is unchanged either way.  With ``trace=True`` the engine records into
-    an :class:`~repro.obs.recorder.EventRecorder`, whose typed event
-    stream feeds the Gantt, the Chrome export and the overlap
-    assertions.  ``interleave_seed`` arms
-    the engine's same-instant interleaving jitter (schedule-space fuzzing,
-    see :mod:`repro.check`).
+    ``preset`` names a stock device set (``"default"``, the paper's Tesla
+    C2070 over PCIe 2.0 + Xeon W3550, when neither argument is given);
+    ``devices=[(spec, link), ...]`` spells any other set, e.g. one device
+    scaled with :meth:`~repro.hw.specs.DeviceSpec.scaled`.  Device 0 is
+    the anchor front of the cooperative runtime.  With ``trace=True`` the
+    engine records into an :class:`~repro.obs.recorder.EventRecorder`,
+    whose typed event stream feeds the Gantt, the Chrome export and the
+    overlap assertions.  ``interleave_seed`` arms the engine's
+    same-instant interleaving jitter (schedule-space fuzzing, see
+    :mod:`repro.check`).
     """
-    if preset is not None:
-        if devices is not None:
-            raise ValueError("pass either devices= or preset=, not both")
+    if devices is None:
+        name = "default" if preset is None else preset
         try:
-            devices = list(MACHINE_PRESETS[preset])
+            devices = list(MACHINE_PRESETS[name])
         except KeyError:
             raise ValueError(
-                f"unknown machine preset {preset!r}; "
+                f"unknown machine preset {name!r}; "
                 f"have {sorted(MACHINE_PRESETS)}"
             ) from None
-    if devices is None:
-        devices = [(gpu, gpu_link), (cpu, cpu_link)]
+    elif preset is not None:
+        raise ValueError("pass either devices= or preset=, not both")
     else:
         devices = list(devices)
         if not devices:
@@ -139,8 +134,4 @@ def build_machine(
     engine = Engine(tracer=EventRecorder() if trace else None)
     if interleave_seed is not None:
         engine.set_interleave_jitter(random.Random(interleave_seed))
-    return Machine(
-        engine=engine,
-        host=host,
-        devices=devices,
-    )
+    return Machine(engine=engine, host=DEFAULT_HOST, devices=devices)

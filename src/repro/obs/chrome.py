@@ -12,6 +12,7 @@ as parallel lanes.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Dict, List, Optional
 
 from repro.obs.events import Phase
@@ -100,12 +101,15 @@ def to_chrome_trace(recorder: EventRecorder,
 
 def write_chrome_trace(path: str, recorder: EventRecorder,
                        process_name: str = "fluidicl",
-                       metrics: Optional[Dict[str, Any]] = None) -> None:
-    """Serialize :func:`to_chrome_trace` output to ``path``."""
+                       metrics: Optional[Dict[str, Any]] = None
+                       ) -> Dict[str, Any]:
+    """Serialize :func:`to_chrome_trace` output to ``path``, creating its
+    directory; returns the trace it wrote."""
+    trace = to_chrome_trace(recorder, process_name=process_name,
+                            metrics=metrics)
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(
-            to_chrome_trace(recorder, process_name=process_name,
-                            metrics=metrics),
-            handle,
-            indent=1,
-        )
+        json.dump(trace, handle, indent=1)
+    return trace

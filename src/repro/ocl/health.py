@@ -55,8 +55,9 @@ class DeviceHealth:
         self.last_progress_ticks = 0
         #: injected transient failures still pending, per DMA direction
         self._pending_transfer_faults: Dict[str, int] = {"h2d": 0, "d2h": 0}
-        #: bounded-retry policy for injected transfer failures (the runtime
-        #: overrides these from its config)
+        #: bounded-retry policy for injected transfer failures: the runtime
+        #: sets the retry budget from its config; the backoff before the
+        #: first retry doubles per attempt
         self.max_transfer_retries = 4
         self.retry_backoff = 2e-5
         # -- counters for observability ----------------------------------

@@ -72,7 +72,7 @@ def measure_profile(app: str, size: int,
     from repro.hw.machine import build_machine
     from repro.polybench.suite import make_app
 
-    node = build_machine(preset=None if machine == "default" else machine)
+    node = build_machine(preset=machine)
     runtime = FluidiCLRuntime(node)
     bench = make_app(app, "test", size=size)
     result = bench.execute(runtime, check=False)

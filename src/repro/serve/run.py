@@ -213,10 +213,8 @@ def run_serve(config: ServeConfig,
         think_time = max(
             mean_service * (config.clients / config.utilization - 1.0), 0.0)
 
-    machine = build_machine(
-        preset=None if config.machine == "default" else config.machine,
-        interleave_seed=config.jitter_seed,
-    )
+    machine = build_machine(preset=config.machine,
+                            interleave_seed=config.jitter_seed)
     # Retain the event streams only when someone will read them post-run;
     # online consumers (monitor, listeners) see every event either way.
     recorder = EventRecorder(retain=trace_path is not None)

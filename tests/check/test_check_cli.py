@@ -81,3 +81,19 @@ class TestCheckCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "'nosuch'" in err and valid in err
+
+    @pytest.mark.parametrize("args,reason", [
+        (["--seeds", "-3"], "--seeds: must be >= 1, got -3"),
+        (["--seeds", "0"], "--seeds: must be >= 1, got 0"),
+        (["--seeds", "2", "--budget-s", "-1"],
+         "--budget-s: must be >= 0, got -1"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, capsys, args, reason):
+        """A campaign that would run nothing is a usage error (exit
+        status 2), not a clean campaign (exit status 0)."""
+        with pytest.raises(SystemExit) as exit_info:
+            check_main(args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "seed(s)" not in captured.out

@@ -11,7 +11,7 @@ import pytest
 from repro.core.runtime import FluidiCLRuntime
 from repro.hw.interconnect import InterconnectSpec
 from repro.hw.machine import build_machine
-from repro.hw.specs import PCIE_GEN2_X16, TESLA_C2070, XEON_W3550
+from repro.hw.specs import HOST_DDR3, PCIE_GEN2_X16, TESLA_C2070, XEON_W3550
 from repro.ocl.ndrange import NDRange
 
 from tests.conftest import make_scale_kernel
@@ -46,29 +46,34 @@ class TestDegradedInterconnect:
         crippled = InterconnectSpec("pcie-degraded",
                                     latency=PCIE_GEN2_X16.latency * 10,
                                     bandwidth=PCIE_GEN2_X16.bandwidth / 20)
-        slow_record, _t2 = run_on(build_machine(gpu_link=crippled))
+        slow_record, _t2 = run_on(build_machine(devices=[
+            (TESLA_C2070, crippled), (XEON_W3550, HOST_DDR3)]))
         assert slow_record.cpu_share <= fast_record.cpu_share
 
     def test_extremely_slow_link_still_terminates(self):
         glacial = InterconnectSpec("glacial", latency=1e-3, bandwidth=1e6)
-        record, elapsed = run_on(build_machine(gpu_link=glacial))
+        record, elapsed = run_on(build_machine(devices=[
+            (TESLA_C2070, glacial), (XEON_W3550, HOST_DDR3)]))
         assert record.total_groups == N // LOCAL
         assert elapsed > 0
 
 
 class TestDegradedDevices:
     def test_slow_cpu_yields_gpu_dominance(self):
-        record, _t = run_on(build_machine(cpu=XEON_W3550.scaled(0.05)))
+        record, _t = run_on(build_machine(devices=[
+            (TESLA_C2070, PCIE_GEN2_X16), (XEON_W3550.scaled(0.05), HOST_DDR3)]))
         assert record.gpu_groups > record.cpu_groups
 
     def test_slow_gpu_yields_cpu_completion(self):
-        record, _t = run_on(build_machine(gpu=TESLA_C2070.scaled(0.01)))
+        record, _t = run_on(build_machine(devices=[
+            (TESLA_C2070.scaled(0.01), PCIE_GEN2_X16), (XEON_W3550, HOST_DDR3)]))
         assert record.cpu_completed_all
 
     def test_faster_machine_is_faster(self):
         _r1, base = run_on(build_machine())
-        _r2, fast = run_on(build_machine(gpu=TESLA_C2070.scaled(4.0),
-                                         cpu=XEON_W3550.scaled(4.0)))
+        _r2, fast = run_on(build_machine(devices=[
+            (TESLA_C2070.scaled(4.0), PCIE_GEN2_X16),
+            (XEON_W3550.scaled(4.0), HOST_DDR3)]))
         assert fast < base
 
 
@@ -79,7 +84,8 @@ class TestResourceExhaustion:
         small_gpu = dataclasses.replace(
             TESLA_C2070, name="tiny-gpu", mem_capacity=1 << 20
         )
-        machine = build_machine(gpu=small_gpu)
+        machine = build_machine(devices=[
+            (small_gpu, PCIE_GEN2_X16), (XEON_W3550, HOST_DDR3)])
         runtime = FluidiCLRuntime(machine)
         with pytest.raises(OutOfDeviceMemoryError):
             runtime.create_buffer("big", (1 << 22,), np.float32)

@@ -68,3 +68,17 @@ class TestTraceSubcommand:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "'nosuch'" in err and "'gesummv'" in err
+
+    @pytest.mark.parametrize("fault_at,reason", [
+        ("-1", "--fault-at: must be >= 0, got -1"),
+        ("soon", "--fault-at: invalid float value: 'soon'"),
+    ])
+    def test_out_of_range_fault_time_is_a_usage_error(
+            self, capsys, tmp_path, fault_at, reason):
+        out_path = tmp_path / "trace.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--smoke", "--faults", "device-loss",
+                  "--fault-at", fault_at, "--out", str(out_path)])
+        assert exit_info.value.code == 2
+        assert reason in capsys.readouterr().err
+        assert not out_path.exists()

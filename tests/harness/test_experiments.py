@@ -22,10 +22,19 @@ from repro.harness.experiments import (
     table3_corr_online_profiling,
 )
 from repro.harness.runner import (
+    first_kernel_strike_time,
     fluidicl_time,
     measure_app,
     single_device_times,
     socl_time,
+)
+from repro.hw.machine import MACHINE_PRESETS
+from repro.hw.specs import (
+    HOST_DDR3,
+    PCIE_GEN2_X16,
+    TESLA_C2070,
+    XEON_W3550,
+    DeviceKind,
 )
 from repro.polybench import make_app
 
@@ -35,9 +44,56 @@ class TestRunnerHelpers:
         from repro.core.runtime import FluidiCLRuntime
 
         app = make_app("syrk", "test")
-        result = measure_app(app, FluidiCLRuntime)
+        result = measure_app(app, FluidiCLRuntime).result
         assert result.correct
         assert result.elapsed > 0
+
+    def test_preset_and_device_list_match_a_hand_built_run(self):
+        from repro.core.runtime import FluidiCLRuntime
+        from repro.hw.machine import build_machine
+
+        app = make_app("gesummv", "test")
+        inputs = app.fresh_inputs()
+        by_preset = measure_app(app, machine="cpu+2gpu", inputs=inputs)
+        by_list = measure_app(app, machine=list(MACHINE_PRESETS["cpu+2gpu"]),
+                              inputs=inputs)
+        hand_built = app.execute(
+            FluidiCLRuntime(build_machine(preset="cpu+2gpu")), inputs=inputs)
+        assert by_preset.result.elapsed == by_list.result.elapsed
+        assert by_preset.result.elapsed == hand_built.elapsed
+        assert len(by_preset.machine.devices) == 3
+
+    def test_faults_mid_kernel_gpu_loss_fails_over(self):
+        from repro.faults import FaultKind, FaultSchedule
+
+        app = make_app("gesummv", "test")
+        inputs = app.fresh_inputs()
+        strike = first_kernel_strike_time(measure_app(app, inputs=inputs))
+        run = measure_app(app, inputs=inputs, faults=FaultSchedule.single(
+            FaultKind.DEVICE_LOSS, at=strike, device="gpu"))
+        assert run.result.correct
+        assert run.runtime.stats.extra["failovers"] >= 1
+
+    def test_trace_leaves_a_recorder_on_the_machine(self):
+        app = make_app("gesummv", "test")
+        assert measure_app(app).machine.tracer is None
+        traced = measure_app(app, trace=True)
+        assert traced.machine.tracer is not None
+        assert traced.machine.tracer.events
+
+    def test_single_device_times_on_a_device_list(self):
+        from repro.hw.machine import build_machine
+        from repro.ocl.runtime import SingleDeviceRuntime
+
+        app = make_app("gesummv", "test")
+        inputs = app.fresh_inputs()
+        devices = [(TESLA_C2070.scaled(0.5), PCIE_GEN2_X16),
+                   (XEON_W3550, HOST_DDR3)]
+        times = single_device_times(app, inputs=inputs, machine=devices)
+        for label, kind in (("gpu", DeviceKind.GPU), ("cpu", DeviceKind.CPU)):
+            runtime = SingleDeviceRuntime(build_machine(devices=devices), kind)
+            assert times[label] == app.execute(runtime, inputs=inputs).elapsed
+        assert times["gpu"] > single_device_times(app, inputs=inputs)["gpu"]
 
     def test_single_device_times(self):
         app = make_app("gesummv", "test")
@@ -54,12 +110,6 @@ class TestRunnerHelpers:
     def test_socl_time_dmda_calibrates(self):
         assert socl_time(make_app("syrk", "test"), "dmda",
                          calibration_runs=2) > 0
-
-    def test_repeats_validated(self):
-        from repro.core.runtime import FluidiCLRuntime
-
-        with pytest.raises(ValueError):
-            measure_app(make_app("syrk", "test"), FluidiCLRuntime, repeats=0)
 
 
 class TestExperimentStructure:

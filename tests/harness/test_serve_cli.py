@@ -72,3 +72,36 @@ class TestServeCli:
                            "--faults", "1", "--fault-n", "2"])
         assert code == 0
         assert "faults injected: 2" in capsys.readouterr().out
+
+    def test_json_and_trace_create_their_directories(self, capsys, tmp_path):
+        report = tmp_path / "new" / "serve.json"
+        trace = tmp_path / "other" / "deeper" / "serve.trace.json"
+        code = serve_main(["--requests", "40", "--n-tenants", "1",
+                           "--json", str(report), "--trace", str(trace)])
+        assert code == 0
+        assert json.loads(report.read_text())["ok"] is True
+        assert json.loads(trace.read_text())["traceEvents"]
+
+    @pytest.mark.parametrize("args,reason", [
+        (["--requests", "0"], "--requests: must be >= 1, got 0"),
+        (["--depth", "0"], "--depth: must be >= 1, got 0"),
+        (["--inflight", "0"], "--inflight: must be >= 1, got 0"),
+        (["--utilization", "0"], "--utilization: must be > 0, got 0"),
+        (["--rate", "-5"], "--rate: must be > 0, got -5"),
+        (["--n-tenants", "0"], "--n-tenants: must be >= 1, got 0"),
+        (["--arrival", "closed", "--clients", "0"],
+         "--clients: must be >= 1, got 0"),
+        (["--arrival", "burst", "--burst-factor", "0"],
+         "--burst-factor: must be >= 1, got 0"),
+        (["--arrival", "burst", "--on-fraction", "2"],
+         "--on-fraction: must be > 0 and < 1, got 2"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, capsys, args, reason):
+        """Exit status 2 with the bound, before any run: not a traceback,
+        and not the violations / shed-gate status 1."""
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "coherence:" not in captured.out

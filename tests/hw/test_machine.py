@@ -3,7 +3,13 @@
 import pytest
 
 from repro.hw.machine import build_machine
-from repro.hw.specs import TESLA_C2070, XEON_W3550, DeviceKind
+from repro.hw.specs import (
+    HOST_DDR3,
+    PCIE_GEN2_X16,
+    TESLA_C2070,
+    XEON_W3550,
+    DeviceKind,
+)
 
 
 class TestBuildMachine:
@@ -33,7 +39,9 @@ class TestBuildMachine:
         assert machine.now == pytest.approx(1.5)
 
     def test_custom_specs(self):
-        machine = build_machine(gpu=TESLA_C2070.scaled(0.5))
+        machine = build_machine(devices=[
+            (TESLA_C2070.scaled(0.5), PCIE_GEN2_X16), (XEON_W3550, HOST_DDR3),
+        ])
         gpu_spec = machine.devices[0][0]
         assert gpu_spec.peak_flops == pytest.approx(TESLA_C2070.peak_flops / 2)
         assert machine.devices[1][0] is XEON_W3550
