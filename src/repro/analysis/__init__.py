@@ -39,16 +39,13 @@ __all__ = [
     # analyzer + fixtures (lazy)
     "LONG_LOOP_ITERS",
     "analyze_kernel",
-    "analyze_variant",
-    "analyze_specs",
+    "analyze_app",
     "extract_facts",
     "KernelFacts",
     "KNOWN_BAD_CASES",
     "KnownBadCase",
-    "known_bad_case",
     # pipeline analysis + sanitizer (lazy; imports the pipeline DSL back)
     "HOST_PRODUCER",
-    "PipelineLintReport",
     "analyze_pipeline",
     "predicted_writers",
     "PipelineFacts",
@@ -57,23 +54,17 @@ __all__ = [
     "PipelineSanitizer",
     "PipelineSanitizerError",
     "SanitizerViolation",
-    "KNOWN_BAD_PIPELINES",
-    "KnownBadPipelineCase",
-    "known_bad_pipeline",
 ]
 
 _LAZY = {
     "LONG_LOOP_ITERS": "repro.analysis.analyzer",
     "analyze_kernel": "repro.analysis.analyzer",
-    "analyze_variant": "repro.analysis.analyzer",
-    "analyze_specs": "repro.analysis.analyzer",
+    "analyze_app": "repro.analysis.analyzer",
     "extract_facts": "repro.analysis.facts",
     "KernelFacts": "repro.analysis.facts",
     "KNOWN_BAD_CASES": "repro.analysis.known_bad",
     "KnownBadCase": "repro.analysis.known_bad",
-    "known_bad_case": "repro.analysis.known_bad",
     "HOST_PRODUCER": "repro.analysis.pipeline_analyzer",
-    "PipelineLintReport": "repro.analysis.pipeline_analyzer",
     "analyze_pipeline": "repro.analysis.pipeline_analyzer",
     "predicted_writers": "repro.analysis.pipeline_analyzer",
     "PipelineFacts": "repro.analysis.pipeline_facts",
@@ -82,9 +73,6 @@ _LAZY = {
     "PipelineSanitizer": "repro.analysis.pipeline_sanitizer",
     "PipelineSanitizerError": "repro.analysis.pipeline_sanitizer",
     "SanitizerViolation": "repro.analysis.pipeline_sanitizer",
-    "KNOWN_BAD_PIPELINES": "repro.analysis.known_bad_pipelines",
-    "KnownBadPipelineCase": "repro.analysis.known_bad_pipelines",
-    "known_bad_pipeline": "repro.analysis.known_bad_pipelines",
 }
 
 

@@ -27,14 +27,16 @@ closes the loop:
    every work-group pays ``no_unroll_penalty``).
 
 The verdict (``LintReport.fluidic_safe``) feeds the runtime lint gate
-(``FluidiCLConfig.lint``), the ``python -m repro.harness lint`` CLI and
-the :mod:`repro.check` fuzzer's pre-flight.
+(``FluidiCLConfig.lint``).  :func:`analyze_app` is the one analysis entry
+per app — every kernel it launches plus, for a ``PipelineApp``, the whole
+pipeline — which the ``python -m repro.harness lint`` CLI and the
+:mod:`repro.check` fuzzer's pre-flight both call.
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import (
     Finding,
@@ -48,13 +50,12 @@ from repro.analysis.facts import (
     KernelFacts,
     extract_facts,
 )
-from repro.kernels.dsl import KernelSpec, KernelVariant
+from repro.kernels.dsl import KernelSpec
 
 __all__ = [
     "LONG_LOOP_ITERS",
     "analyze_kernel",
-    "analyze_variant",
-    "analyze_specs",
+    "analyze_app",
 ]
 
 #: loop trip counts at or above this are "long": a work-group that cannot
@@ -273,11 +274,10 @@ def _race_findings(spec: KernelSpec, facts: KernelFacts) -> List[Finding]:
 # FK3xx: abort-check placement (§6.4/§6.5)
 # ---------------------------------------------------------------------------
 def _abort_findings(spec: KernelSpec, facts: Optional[KernelFacts],
-                    abort_in_loops: bool, loop_unroll: bool,
-                    long_loop_iters: int) -> List[Finding]:
+                    abort_in_loops: bool, loop_unroll: bool) -> List[Finding]:
     findings: List[Finding] = []
     iters = spec.cost.loop_iters
-    long_loop = iters >= long_loop_iters
+    long_loop = iters >= LONG_LOOP_ITERS
     if long_loop and not abort_in_loops:
         findings.append(rule("FK301").finding(
             f"kernel loops {iters} iterations per work-group but the GPU "
@@ -316,8 +316,7 @@ _REPORT_CACHE: Dict[Tuple, LintReport] = {}
 
 
 def analyze_kernel(spec: KernelSpec, *, abort_in_loops: bool = True,
-                   loop_unroll: bool = True,
-                   long_loop_iters: int = LONG_LOOP_ITERS) -> LintReport:
+                   loop_unroll: bool = True) -> LintReport:
     """Statically analyze one kernel; returns its :class:`LintReport`.
 
     ``abort_in_loops``/``loop_unroll`` describe the GPU-variant
@@ -328,7 +327,7 @@ def analyze_kernel(spec: KernelSpec, *, abort_in_loops: bool = True,
     try:
         key = (spec.name, spec.version, spec.body, spec.args,
                spec.cost.loop_iters, spec.cost.no_unroll_penalty,
-               abort_in_loops, loop_unroll, long_loop_iters)
+               abort_in_loops, loop_unroll)
         cached = _REPORT_CACHE.get(key)
         if cached is not None:
             return cached
@@ -351,7 +350,7 @@ def analyze_kernel(spec: KernelSpec, *, abort_in_loops: bool = True,
             report.add(finding)
     for finding in _abort_findings(
             spec, facts if facts.analyzable else None,
-            abort_in_loops, loop_unroll, long_loop_iters):
+            abort_in_loops, loop_unroll):
         report.add(finding)
 
     if key is not None:
@@ -359,24 +358,21 @@ def analyze_kernel(spec: KernelSpec, *, abort_in_loops: bool = True,
     return report
 
 
-def analyze_variant(variant: KernelVariant, *,
-                    long_loop_iters: int = LONG_LOOP_ITERS) -> LintReport:
-    """Analyze a transformed kernel using the variant's own abort flags."""
-    return analyze_kernel(
-        variant.spec,
-        abort_in_loops=variant.abort_in_loops,
-        loop_unroll=variant.unrolled or not variant.abort_in_loops,
-        long_loop_iters=long_loop_iters,
-    )
+def analyze_app(app, *, abort_in_loops: bool = True,
+                loop_unroll: bool = True) -> List[LintReport]:
+    """Every static report for one app, in one list.
 
-
-def analyze_specs(specs: Iterable[KernelSpec], *, abort_in_loops: bool = True,
-                  loop_unroll: bool = True,
-                  long_loop_iters: int = LONG_LOOP_ITERS) -> List[LintReport]:
-    """Analyze several kernels (e.g. every version an app supplies)."""
-    return [
+    One report per kernel ``app.kernel_specs()`` names (none when the app
+    exposes no specs), then — for a ``PipelineApp`` — its whole-pipeline
+    FK4xx/FK5xx report (version ``"pipeline"``).
+    """
+    reports = [
         analyze_kernel(spec, abort_in_loops=abort_in_loops,
-                       loop_unroll=loop_unroll,
-                       long_loop_iters=long_loop_iters)
-        for spec in specs
+                       loop_unroll=loop_unroll)
+        for spec in app.kernel_specs() or ()
     ]
+    from repro.workloads.pipeline import PipelineApp
+
+    if isinstance(app, PipelineApp):
+        reports.append(app.analyze())
+    return reports

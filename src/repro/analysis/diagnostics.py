@@ -226,7 +226,8 @@ class Finding:
 
 @dataclass
 class LintReport:
-    """All findings for one kernel (one ``KernelSpec``/version)."""
+    """All findings for one kernel (one ``KernelSpec``/version), or for a
+    whole pipeline when ``version`` is ``"pipeline"`` (FK4xx/FK5xx)."""
 
     kernel: str
     version: str = "baseline"
@@ -254,8 +255,11 @@ class LintReport:
 
     @property
     def label(self) -> str:
-        return (self.kernel if self.version == "baseline"
-                else f"{self.kernel}@{self.version}")
+        if self.version == "baseline":
+            return self.kernel
+        if self.version == "pipeline":
+            return f"pipeline:{self.kernel}"
+        return f"{self.kernel}@{self.version}"
 
     def render(self) -> str:
         verdict = "fluidic-safe" if self.fluidic_safe else "NOT fluidic-safe"

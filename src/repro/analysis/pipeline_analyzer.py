@@ -1,6 +1,6 @@
 """Whole-pipeline static dataflow analysis: the FK4xx/FK5xx rules.
 
-PR 4's per-kernel analyzer proves each kernel is *fluidic-safe* in
+The per-kernel analyzer proves each kernel is *fluidic-safe* in
 isolation; this pass closes the remaining gap for :class:`PipelineApp`
 DAGs, where kernels compose through declared buffers, host stages and
 ``WhileStage`` loops.  The rules split into two families (catalog:
@@ -29,22 +29,25 @@ observed ``buffer_read`` version may legally come from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.diagnostics import Finding, LintReport, rule
 from repro.analysis.facts import AxisKind
 from repro.analysis.pipeline_facts import (
-    HOST_INIT,
     PipelineFacts,
     StageFacts,
     flatten_pipeline,
 )
-from repro.workloads.pipeline import BufferDecl, Stage
+from repro.workloads.pipeline import (
+    HOST_INIT,
+    BufferDecl,
+    Stage,
+    WhileStage,
+    scan_last_writers,
+)
 
 __all__ = [
     "HOST_PRODUCER",
-    "PipelineLintReport",
     "analyze_pipeline",
     "predicted_writers",
 ]
@@ -57,56 +60,14 @@ HOST_PRODUCER = "<host>"
 Writer = Union[StageFacts, str]
 
 
-@dataclass
-class PipelineLintReport(LintReport):
-    """A :class:`LintReport` scoped to a whole pipeline, not one kernel."""
-
-    @property
-    def label(self) -> str:
-        return f"pipeline:{self.kernel}"
-
-
-# ---------------------------------------------------------------------------
-# dataflow scan helpers
-# ---------------------------------------------------------------------------
-def _scan_last_writers(pf: PipelineFacts) -> Iterator[
-        Tuple[StageFacts, Dict[str, Writer]]]:
-    """Yield each stage with the last-writer map *before* it executes.
-
-    Mirrors ``dependency_edges``: on first entry into a loop, every body
-    writer is pre-registered (in body order, later writers winning), so
-    loop-carried dataflow points at the in-loop producer a wraparound
-    iteration actually observes.
-    """
-    last: Dict[str, Writer] = {}
-    for name, decl in pf.decls.items():
-        if decl.init is not None:
-            last[name] = HOST_INIT
-    entered: Set[str] = set()
-    for stage in pf.stages:
-        for loop in stage.loops:
-            if loop not in entered:
-                entered.add(loop)
-                for member in pf.loop_members(loop):
-                    for buffer in member.writes:
-                        last[buffer] = member
-        yield stage, last
-        for buffer in stage.writes:
-            last[buffer] = stage
-
-
 def _producer_pairs(pf: PipelineFacts) -> Iterator[
         Tuple[Writer, str, StageFacts]]:
     """``(producer, buffer, consumer)`` triples over declared dataflow."""
-    for stage, last in _scan_last_writers(pf):
+    for stage, last in scan_last_writers(pf.decls.values(), pf.stages):
         for buffer in stage.reads:
             producer = last.get(buffer)
             if producer is not None:
                 yield producer, buffer, stage
-
-
-def _writer_name(writer: Writer) -> str:
-    return writer if isinstance(writer, str) else writer.name
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +113,11 @@ def _fk402_unordered_waw(pf: PipelineFacts) -> List[Finding]:
     orders them, so the first write is dead (or worse, partially mixed)."""
     findings: List[Finding] = []
     read_since: Dict[str, bool] = {}
-    loop_readers: Dict[str, Set[str]] = {}
+    loop_readers: Dict[WhileStage, Set[str]] = {}
     for stage in pf.stages:
         for loop in stage.loops:
             loop_readers.setdefault(loop, set()).update(stage.reads)
-    for stage, last in _scan_last_writers(pf):
+    for stage, last in scan_last_writers(pf.decls.values(), pf.stages):
         reads = set(stage.reads)
         for buffer in reads:
             read_since[buffer] = True
@@ -175,7 +136,7 @@ def _fk402_unordered_waw(pf: PipelineFacts) -> List[Finding]:
                 read_since[buffer] = False
                 continue
             producer = ("the host init" if previous == HOST_INIT
-                        else f"stage {_writer_name(previous)!r}")
+                        else f"stage {previous.name!r}")
             findings.append(rule("FK402").finding(
                 f"stage {stage.name!r} overwrites buffer {buffer!r} while "
                 f"no stage read the value {producer} produced: nothing "
@@ -214,9 +175,9 @@ def _fk403_shrinking_loop_extent(pf: PipelineFacts) -> List[Finding]:
                 findings.append(rule("FK403").finding(
                     f"stage {writer.name!r} writes buffer {buffer!r} under "
                     f"a data-dependent NDRange inside loop "
-                    f"{writer.loops[-1]!r}, but {extent}: when the range "
-                    f"shrinks, elements beyond it still hold the previous "
-                    f"iteration's values at read time",
+                    f"{writer.loops[-1].name!r}, but {extent}: when the "
+                    f"range shrinks, elements beyond it still hold the "
+                    f"previous iteration's values at read time",
                     kernel=writer.name, stage=writer.name, buffer=buffer,
                     hint="bound the read by the same data-dependent count "
                          "(pass it as a scalar argument), or write the "
@@ -254,7 +215,7 @@ def _full_extent_read(reader: StageFacts, buffer: str,
 def _fk404_host_clobber(pf: PipelineFacts) -> List[Finding]:
     """Host stage overwrites a kernel-produced buffer it never read."""
     findings: List[Finding] = []
-    for stage, last in _scan_last_writers(pf):
+    for stage, last in scan_last_writers(pf.decls.values(), pf.stages):
         if stage.kind != "host":
             continue
         for buffer in stage.writes:
@@ -429,10 +390,10 @@ _RULE_PASSES = (
 
 
 def analyze_pipeline(decls: Sequence[BufferDecl], stages: Sequence[Stage],
-                     *, name: str = "pipeline") -> PipelineLintReport:
+                     *, name: str = "pipeline") -> LintReport:
     """Run every FK4xx/FK5xx rule over one validated pipeline."""
     pf = flatten_pipeline(decls, stages)
-    report = PipelineLintReport(kernel=name, version="pipeline")
+    report = LintReport(kernel=name, version="pipeline")
     for rule_pass in _RULE_PASSES:
         for finding in rule_pass(pf):
             report.add(finding)

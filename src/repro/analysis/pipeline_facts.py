@@ -3,10 +3,11 @@
 :func:`flatten_pipeline` turns a validated ``(decls, stages)`` pipeline
 (:mod:`repro.workloads.pipeline`) into an execution-ordered list of
 :class:`StageFacts` the FK4xx/FK5xx rule engine in
-:mod:`repro.analysis.pipeline_analyzer` consumes.  ``WhileStage`` loops are
-flattened with their body stages tagged by the enclosing loop names, so
-rules can reason about loop-carried (wraparound) dataflow without walking
-the stage tree themselves.
+:mod:`repro.analysis.pipeline_analyzer` consumes.  It extends the
+pipeline module's one stage walk (``flatten_stages``): each body stage is
+tagged with its enclosing ``WhileStage`` loops, so rules reason about
+loop-carried (wraparound) dataflow through the shared last-writer scan
+(``scan_last_writers``) without walking the stage tree themselves.
 
 The crucial translation happens here: buffer accesses extracted from each
 stage kernel's body (:mod:`repro.analysis.facts`) are keyed by *argument*
@@ -20,7 +21,7 @@ producer wrote?") becomes a lookup, not a join.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.analyzer import _facts_for
 from repro.analysis.facts import (
@@ -29,7 +30,6 @@ from repro.analysis.facts import (
     BufferAccess,
     KernelFacts,
 )
-from repro.kernels.dsl import KernelSpec
 
 # ``repro.workloads.pipeline`` participates in an import cycle with
 # ``repro.polybench`` (the 2mm/3mm apps subclass PipelineApp while the
@@ -39,54 +39,46 @@ from repro.kernels.dsl import KernelSpec
 import repro.polybench  # noqa: F401
 from repro.workloads.pipeline import (
     BufferDecl,
-    HostStage,
-    KernelStage,
+    FlatStage,
     Stage,
-    WhileStage,
+    flatten_stages,
 )
 
 __all__ = [
-    "HOST_INIT",
     "StageFacts",
     "PipelineFacts",
     "flatten_pipeline",
 ]
 
-#: sentinel producer for host-initialized buffers (mirrors
-#: ``dependency_edges``); host *stage* writers keep their stage name
-HOST_INIT = "<host-init>"
 
+@dataclass(frozen=True)
+class StageFacts(FlatStage):
+    """One flattened stage plus what its kernel body does (kernels only)."""
 
-@dataclass
-class StageFacts:
-    """One flattened stage of a pipeline, in execution order."""
-
-    index: int
-    kind: str  # "kernel" / "host"
-    name: str
-    #: enclosing ``WhileStage`` names, outermost first; empty at top level
-    loops: Tuple[str, ...]
-    #: declared reads/writes, already translated to buffer names
-    reads: Tuple[str, ...]
-    writes: Tuple[str, ...]
-    # -- kernel stages only ------------------------------------------------
-    spec: Optional[KernelSpec] = None
-    #: True when the NDRange is a function of the pipeline state
-    #: (data-dependent launch geometry, e.g. a shrinking BFS frontier)
-    dynamic_ndrange: bool = False
-    total_groups: Optional[int] = None
     facts: Optional[KernelFacts] = None
     #: buffer name -> body accesses of that buffer (analyzable bodies only)
     body_reads: Dict[str, List[BufferAccess]] = field(default_factory=dict)
     body_writes: Dict[str, List[BufferAccess]] = field(default_factory=dict)
 
     @property
-    def in_loop(self) -> bool:
-        return bool(self.loops)
+    def dynamic_ndrange(self) -> bool:
+        """True when the NDRange is a function of the pipeline state
+        (data-dependent launch geometry, e.g. a shrinking BFS frontier)."""
+        return self.spec is not None and callable(self.stage.ndrange)
+
+    @property
+    def total_groups(self) -> Optional[int]:
+        if self.spec is None or self.dynamic_ndrange:
+            return None
+        return self.stage.ndrange.total_groups
 
     @property
     def analyzable(self) -> bool:
         return self.facts is not None and self.facts.analyzable
+
+    @property
+    def in_loop(self) -> bool:
+        return bool(self.loops)
 
     def shares_loop(self, other: "StageFacts") -> bool:
         return bool(set(self.loops) & set(other.loops))
@@ -125,16 +117,12 @@ class PipelineFacts:
     def readers_of(self, buffer: str) -> List[StageFacts]:
         return [s for s in self.stages if buffer in s.reads]
 
-    def writers_of(self, buffer: str) -> List[StageFacts]:
-        return [s for s in self.stages if buffer in s.writes]
 
-    def loop_members(self, loop: str) -> List[StageFacts]:
-        return [s for s in self.stages if loop in s.loops]
-
-
-def _kernel_stage_facts(index: int, stage: KernelStage,
-                        loops: Tuple[str, ...]) -> StageFacts:
-    binds = stage.buffer_binds()
+def _stage_facts(stage: FlatStage) -> StageFacts:
+    flat = (stage.index, stage.stage, stage.loops, stage.reads, stage.writes)
+    if stage.spec is None:
+        return StageFacts(*flat)
+    binds = stage.stage.buffer_binds()
     facts = _facts_for(stage.spec.body)
     body_reads: Dict[str, List[BufferAccess]] = {}
     body_writes: Dict[str, List[BufferAccess]] = {}
@@ -146,40 +134,14 @@ def _kernel_stage_facts(index: int, stage: KernelStage,
             target = (body_reads if access.mode is AccessMode.READ
                       else body_writes)
             target.setdefault(buffer, []).append(access)
-    dynamic = callable(stage.ndrange)
-    return StageFacts(
-        index=index,
-        kind="kernel",
-        name=stage.name,
-        loops=loops,
-        reads=stage.reads(),
-        writes=stage.writes(),
-        spec=stage.spec,
-        dynamic_ndrange=dynamic,
-        total_groups=None if dynamic else stage.ndrange.total_groups,
-        facts=facts,
-        body_reads=body_reads,
-        body_writes=body_writes,
-    )
+    return StageFacts(*flat, facts=facts, body_reads=body_reads,
+                      body_writes=body_writes)
 
 
 def flatten_pipeline(decls: Sequence[BufferDecl],
                      stages: Sequence[Stage]) -> PipelineFacts:
     """Flatten a validated pipeline into ordered :class:`StageFacts`."""
-    flat: List[StageFacts] = []
-
-    def walk(body: Sequence[Stage], loops: Tuple[str, ...]) -> None:
-        for stage in body:
-            if isinstance(stage, WhileStage):
-                walk(stage.body, loops + (stage.name,))
-            elif isinstance(stage, KernelStage):
-                flat.append(_kernel_stage_facts(len(flat), stage, loops))
-            elif isinstance(stage, HostStage):
-                flat.append(StageFacts(
-                    index=len(flat), kind="host", name=stage.name,
-                    loops=loops, reads=tuple(stage.reads),
-                    writes=tuple(stage.writes),
-                ))
-
-    walk(stages, ())
-    return PipelineFacts(decls={d.name: d for d in decls}, stages=flat)
+    return PipelineFacts(
+        decls={d.name: d for d in decls},
+        stages=[_stage_facts(stage) for stage in flatten_stages(stages)],
+    )

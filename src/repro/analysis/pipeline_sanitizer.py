@@ -17,9 +17,10 @@ does:
   of the predicted producers committed — anything else is an FK592
   violation (the declared dataflow and the executed dataflow diverged).
 
-Violations are recorded always; under ``FluidiCLConfig.lint="warn"`` the
-wiring in :class:`~repro.workloads.pipeline.PipelineApp` also emits a
-``lint_finding`` trace event per violation, and under ``"strict"`` the
+Violations are recorded always; after the run the wiring in
+:class:`~repro.workloads.pipeline.PipelineApp` hands them, as findings
+(:meth:`SanitizerViolation.as_finding`), to the runtime's one lint
+emitter (``FluidiCLRuntime.emit_lint``), and under ``"strict"`` the
 sanitizer raises :class:`PipelineSanitizerError` at the offending event.
 
 A clean run emits **no** extra events and perturbs no simulated

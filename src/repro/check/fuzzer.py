@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.analyzer import analyze_specs
+from repro.analysis.analyzer import analyze_app
 from repro.analysis.diagnostics import LintReport
 from repro.check.monitor import CoherenceMonitor, Violation
 from repro.core.config import FluidiCLConfig
@@ -309,23 +309,16 @@ class _Corruptor:
 
 
 def preflight_lint(app, config: FuzzConfig) -> List[LintReport]:
-    """Statically analyze the app's kernels under ``config``'s variant flags.
+    """Statically analyze the app under ``config``'s variant flags.
 
-    Returns the reports of kernels that are **not** fluidic-safe — i.e.
-    that must not be partitioned across devices.  Apps that do not expose
-    :meth:`~repro.polybench.common.PolybenchApp.kernel_specs` are passed
-    through (empty list): the fuzzer cannot judge what it cannot see.
+    Returns the reports (kernels, and the whole pipeline of a
+    ``PipelineApp``) that are **not** fluidic-safe — i.e. that must not
+    be partitioned across devices.  Apps that do not expose
+    :meth:`~repro.polybench.common.PolybenchApp.kernel_specs` contribute
+    no kernel reports: the fuzzer cannot judge what it cannot see.
     """
-    specs = app.kernel_specs()
-    reports = []
-    if specs:
-        reports = analyze_specs(specs, abort_in_loops=config.abort_in_loops,
-                                loop_unroll=config.loop_unroll)
-    from repro.workloads.pipeline import PipelineApp
-    if isinstance(app, PipelineApp):
-        # whole-pipeline pass: an inter-stage hazard (FK4xx/FK5xx) makes
-        # oracle mismatches just as inevitable as a per-kernel race
-        reports = list(reports) + [app.analyze()]
+    reports = analyze_app(app, abort_in_loops=config.abort_in_loops,
+                          loop_unroll=config.loop_unroll)
     return [r for r in reports if not r.fluidic_safe]
 
 

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.analysis.analyzer import analyze_kernel
-from repro.analysis.diagnostics import LintError, Severity
+from repro.analysis.diagnostics import LintError, LintReport, Severity
 from repro.core.buffers import FluidiBuffer
 from repro.core.config import FluidiCLConfig
 from repro.core.deviceset import DeviceSet, FrontLedger
@@ -353,12 +353,11 @@ class FluidiCLRuntime(AbstractRuntime):
     def _lint_gate(self, specs: List[KernelSpec]) -> None:
         """Statically analyze every kernel version before cooperative launch.
 
-        ``config.lint`` selects the posture: ``"warn"`` (default) emits one
-        ``lint_finding`` event and bumps ``stats.extra["lint_findings"]``
-        per distinct finding of WARNING severity or above; ``"strict"``
-        additionally raises :class:`LintError` when any version is not
-        fluidic-safe — partitioning it across devices (§4, Fig. 7) could
-        corrupt results; ``"off"`` skips the analysis entirely.
+        ``config.lint`` selects the posture: ``"warn"`` (default) hands
+        each report to :meth:`emit_lint`; ``"strict"`` additionally raises
+        :class:`LintError` when any version is not fluidic-safe —
+        partitioning it across devices (§4, Fig. 7) could corrupt results;
+        ``"off"`` skips the analysis entirely.
         """
         if self.config.lint == "off":
             return
@@ -368,22 +367,37 @@ class FluidiCLRuntime(AbstractRuntime):
             for spec in specs
         ]
         for report in reports:
-            for finding in report.worth_reporting(Severity.WARNING):
-                key = (report.kernel, report.version, finding.rule_id,
-                       finding.arg)
-                if key in self._lint_seen:
-                    continue
-                self._lint_seen.add(key)
-                self.stats.extra["lint_findings"] += 1
-                self.engine.trace(
-                    "lint_finding", kernel=report.kernel,
-                    version=report.version, rule=finding.rule_id,
-                    severity=finding.severity.value, arg=finding.arg,
-                    message=finding.message,
-                )
+            self.emit_lint(report)
         if self.config.lint == "strict" and any(
                 not r.fluidic_safe for r in reports):
             raise LintError(reports)
+
+    def emit_lint(self, report: LintReport) -> None:
+        """Surface a lint report's findings as ``lint_finding`` events.
+
+        The one emitter for every lint path: the per-launch kernel gate,
+        a ``PipelineApp``'s pre-launch FK4xx/FK5xx guard and its post-run
+        sanitizer report (FK591/FK592).  Each distinct finding of WARNING
+        severity or above is traced once per runtime — not per launch —
+        and bumps ``stats.extra["lint_findings"]``.  Pipeline reports also
+        carry each finding's stage and buffer.
+        """
+        pipeline = report.version == "pipeline"
+        for finding in report.worth_reporting(Severity.WARNING):
+            key = (report.kernel, report.version, finding.rule_id,
+                   finding.arg, finding.stage, finding.buffer)
+            if key in self._lint_seen:
+                continue
+            self._lint_seen.add(key)
+            self.stats.extra["lint_findings"] += 1
+            where = ({"stage": finding.stage, "buffer": finding.buffer}
+                     if pipeline else {})
+            self.engine.trace(
+                "lint_finding", kernel=report.kernel,
+                version=report.version, rule=finding.rule_id,
+                severity=finding.severity.value, arg=finding.arg,
+                **where, message=finding.message,
+            )
 
     # ------------------------------------------------------------------
     # Cooperative kernel execution (§4.2)

@@ -8,12 +8,11 @@ Subcommands:
 - ``python -m repro.harness check [--seeds N] [--budget-s S]`` — run a
   bounded schedule-space fuzzing campaign with online coherence checking
   (see :mod:`repro.harness.check_cli` and :mod:`repro.check`).
-- ``python -m repro.harness lint [--apps ...] [--known-bad]
-  [--pipelines]`` — statically analyze the suite's kernels for intent
-  drift, cross-work-group races and abort-check placement; with
-  ``--pipelines``, run the whole-pipeline FK4xx/FK5xx inter-stage
-  dataflow analyzer instead (see :mod:`repro.harness.lint_cli` and
-  :mod:`repro.analysis`).
+- ``python -m repro.harness lint [--apps ...] [--known-bad]`` —
+  statically analyze the suite's kernels for intent drift,
+  cross-work-group races and abort-check placement, and its pipelines
+  for FK4xx/FK5xx inter-stage dataflow hazards, in one report (see
+  :mod:`repro.harness.lint_cli` and :mod:`repro.analysis`).
 - ``python -m repro.harness bench [--smoke] [--threshold X]`` — run the
   pinned benchmark matrix, persist a ``BENCH_<n>.json`` snapshot and gate
   wall-clock regressions against the committed baseline (see
@@ -68,9 +67,8 @@ def main(argv=None) -> int:
             "FluidiCL run (python -m repro.harness trace --help); 'check' "
             "runs a schedule-space fuzzing campaign with online coherence "
             "checking (python -m repro.harness check --help); 'lint' runs "
-            "the static kernel analyzer over the suite and examples, or "
-            "the FK4xx/FK5xx pipeline analyzer with --pipelines "
-            "(python -m repro.harness lint --help); 'bench' runs the "
+            "the static kernel and pipeline analyzers over the suite and "
+            "examples (python -m repro.harness lint --help); 'bench' runs the "
             "pinned benchmark matrix and persists a BENCH_<n>.json "
             "snapshot (python -m repro.harness bench --help); 'scenarios' "
             "runs named seeded demo scenarios through the coherence-"

@@ -23,7 +23,9 @@ the shapes that appear in multi-kernel OpenCL programs:
 ``validate_pipeline`` rejects use-before-def reads, unbound or unknown
 arguments and never-written outputs *before* any simulated work runs, and
 ``dependency_edges`` exposes the resulting producer → consumer graph for
-tests and docs.
+tests and docs.  Both read the stage tree through one walk
+(``flatten_stages``) and one last-writer scan (``scan_last_writers``),
+which the FK4xx/FK5xx analysis in :mod:`repro.analysis` shares.
 
 The generic ``host_program`` preserves the classic host-program shape —
 create every buffer, write every init buffer, run the stages, read every
@@ -39,6 +41,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -50,6 +53,7 @@ from typing import (
 
 import numpy as np
 
+from repro.analysis.diagnostics import LintError, LintReport
 from repro.kernels.dsl import KernelSpec
 from repro.ocl.ndrange import NDRange
 from repro.ocl.runtime import AbstractRuntime
@@ -63,6 +67,10 @@ __all__ = [
     "WhileStage",
     "PipelineHost",
     "PipelineApp",
+    "HOST_INIT",
+    "FlatStage",
+    "flatten_stages",
+    "scan_last_writers",
     "validate_pipeline",
     "dependency_edges",
 ]
@@ -155,9 +163,13 @@ class HostStage:
     writes: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhileStage:
-    """Run ``body`` stages while ``cond(state)`` holds (BFS levels etc.)."""
+    """Run ``body`` stages while ``cond(state)`` holds (BFS levels etc.).
+
+    Loops compare by identity: each one is its own scope for the
+    loop-carried dataflow of :func:`scan_last_writers`.
+    """
 
     name: str
     cond: StateFn
@@ -207,89 +219,101 @@ class PipelineHost:
 
 
 # ---------------------------------------------------------------------------
-# Static validation
+# Static validation: one walk of the stage tree, one last-writer scan
 # ---------------------------------------------------------------------------
 
-def _stage_writes(stages: Sequence[Stage]) -> Set[str]:
-    written: Set[str] = set()
-    for stage in stages:
-        if isinstance(stage, KernelStage):
-            written.update(stage.writes())
-        elif isinstance(stage, HostStage):
-            written.update(stage.writes)
-        elif isinstance(stage, WhileStage):
-            written.update(_stage_writes(stage.body))
-    return written
+#: the producer of a host-initialized buffer
+HOST_INIT = "<host-init>"
 
 
-def _check_stages(stages: Sequence[Stage], declared: Set[str],
-                  defined: Set[str], where: str) -> None:
-    for stage in stages:
-        if isinstance(stage, KernelStage):
-            for buf in stage.reads():
-                if buf not in declared:
-                    raise PipelineError(
-                        f"{where}: stage {stage.name!r} reads undeclared "
-                        f"buffer {buf!r}"
-                    )
-                if buf not in defined:
-                    raise PipelineError(
-                        f"{where}: stage {stage.name!r} reads buffer "
-                        f"{buf!r} before anything writes it"
-                    )
-            for buf in stage.writes():
-                if buf not in declared:
-                    raise PipelineError(
-                        f"{where}: stage {stage.name!r} writes undeclared "
-                        f"buffer {buf!r}"
-                    )
-                defined.add(buf)
-        elif isinstance(stage, HostStage):
-            for buf in stage.reads:
-                if buf not in declared:
-                    raise PipelineError(
-                        f"{where}: host stage {stage.name!r} reads "
-                        f"undeclared buffer {buf!r}"
-                    )
-                if buf not in defined:
-                    raise PipelineError(
-                        f"{where}: host stage {stage.name!r} reads buffer "
-                        f"{buf!r} before anything writes it"
-                    )
-            for buf in stage.writes:
-                if buf not in declared:
-                    raise PipelineError(
-                        f"{where}: host stage {stage.name!r} writes "
-                        f"undeclared buffer {buf!r}"
-                    )
-                defined.add(buf)
-        elif isinstance(stage, WhileStage):
-            # Loop-carried dependencies: everything the body writes is
-            # available to every body stage (produced by a previous
-            # iteration); first-iteration values must come from an init
-            # or an earlier stage, which the outer `defined` set carries.
-            loop_defined = set(defined) | _stage_writes(stage.body)
-            _check_stages(stage.body, declared, loop_defined,
-                          f"{where}/while:{stage.name}")
-            defined.update(_stage_writes(stage.body))
-        else:
-            raise PipelineError(
-                f"{where}: unknown stage type {type(stage).__name__}"
-            )
+def _where(loops: Sequence[WhileStage]) -> str:
+    return "pipeline" + "".join(f"/while:{loop.name}" for loop in loops)
+
+
+@dataclass(frozen=True)
+class FlatStage:
+    """One kernel or host stage at its place in execution order."""
+
+    index: int
+    stage: Union[KernelStage, HostStage]
+    #: enclosing loops, outermost first; empty at top level
+    loops: Tuple[WhileStage, ...]
+    #: declared reads/writes, in buffer names
+    reads: Tuple[str, ...]
+    writes: Tuple[str, ...]
+
+    @property
+    def name(self) -> str:
+        return self.stage.name
+
+    @property
+    def kind(self) -> str:
+        return "kernel" if isinstance(self.stage, KernelStage) else "host"
+
+    @property
+    def spec(self) -> Optional[KernelSpec]:
+        return self.stage.spec if isinstance(self.stage, KernelStage) else None
+
+
+def flatten_stages(stages: Sequence[Stage]) -> List[FlatStage]:
+    """Every kernel and host stage of the tree, in execution order.
+
+    The one walk of the stage tree: validation, :func:`dependency_edges`,
+    ``PipelineApp.kernel_specs`` and the FK4xx/FK5xx analysis all read
+    its result.  A loop body appears once, each stage tagged with the
+    loops around it.
+    """
+    flat: List[FlatStage] = []
+
+    def walk(body: Sequence[Stage], loops: Tuple[WhileStage, ...]) -> None:
+        for stage in body:
+            if isinstance(stage, WhileStage):
+                walk(stage.body, loops + (stage,))
+            elif isinstance(stage, KernelStage):
+                flat.append(FlatStage(len(flat), stage, loops,
+                                      stage.reads(), stage.writes()))
+            elif isinstance(stage, HostStage):
+                flat.append(FlatStage(len(flat), stage, loops,
+                                      tuple(stage.reads), tuple(stage.writes)))
+            else:
+                raise PipelineError(
+                    f"{_where(loops)}: unknown stage type "
+                    f"{type(stage).__name__}"
+                )
+
+    walk(stages, ())
+    return flat
+
+
+def scan_last_writers(decls: Sequence[BufferDecl], flat: Sequence[FlatStage],
+                      ) -> Iterator[Tuple[FlatStage,
+                                          Dict[str, Union[FlatStage, str]]]]:
+    """Yield each stage with every buffer's last writer before it runs.
+
+    Host-initialized buffers start out written by :data:`HOST_INIT`.  On
+    first entry into a loop, every writer in its body is registered (in
+    body order, later writers winning), so a loop-carried read points at
+    the in-loop producer a wraparound iteration observes.  The yielded
+    map is updated in place as the scan advances.
+    """
+    last: Dict[str, Union[FlatStage, str]] = {
+        d.name: HOST_INIT for d in decls if d.init is not None
+    }
+    entered: Set[WhileStage] = set()
+    for stage in flat:
+        for loop in stage.loops:
+            if loop not in entered:
+                entered.add(loop)
+                for member in flat:
+                    if loop in member.loops:
+                        last.update(dict.fromkeys(member.writes, member))
+        yield stage, last
+        last.update(dict.fromkeys(stage.writes, stage))
 
 
 def validate_pipeline(decls: Sequence[BufferDecl],
-                      stages: Sequence[Stage], *,
-                      analyze: bool = False,
-                      name: str = "pipeline"):
-    """Reject inconsistent pipelines before any simulated work runs.
-
-    With ``analyze=True`` the structural checks are followed by the
-    whole-pipeline static dataflow pass (FK4xx/FK5xx rules,
-    :mod:`repro.analysis.pipeline_analyzer`): the resulting
-    ``PipelineLintReport`` is returned, and a pipeline with any ERROR
-    finding raises :class:`~repro.analysis.diagnostics.LintError`.
-    """
+                      stages: Sequence[Stage]) -> None:
+    """Reject inconsistent pipelines before any simulated work runs."""
     names = [d.name for d in decls]
     duplicates = sorted({n for n in names if names.count(n) > 1})
     if duplicates:
@@ -298,23 +322,29 @@ def validate_pipeline(decls: Sequence[BufferDecl],
     for d in decls:
         if d.init is not None and d.read is not None and not d.shape:
             raise PipelineError(f"buffer {d.name!r} has an empty shape")
-    defined = {d.name for d in decls if d.init is not None}
-    _check_stages(stages, declared, defined, "pipeline")
+    flat = flatten_stages(stages)
+    for stage, last in scan_last_writers(decls, flat):
+        who = (f"{_where(stage.loops)}: "
+               f"{'stage' if stage.kind == 'kernel' else 'host stage'} "
+               f"{stage.name!r}")
+        for buf in stage.reads:
+            if buf not in declared:
+                raise PipelineError(f"{who} reads undeclared buffer {buf!r}")
+            if buf not in last:
+                raise PipelineError(
+                    f"{who} reads buffer {buf!r} before anything writes it"
+                )
+        for buf in stage.writes:
+            if buf not in declared:
+                raise PipelineError(f"{who} writes undeclared buffer {buf!r}")
+    written = {d.name for d in decls if d.init is not None}
+    written.update(buf for stage in flat for buf in stage.writes)
     for d in decls:
-        if d.read is not None and d.name not in defined:
+        if d.read is not None and d.name not in written:
             raise PipelineError(
                 f"output buffer {d.name!r} (read as {d.read!r}) is never "
                 f"written by any stage"
             )
-    if analyze:
-        from repro.analysis.diagnostics import LintError
-        from repro.analysis.pipeline_analyzer import analyze_pipeline
-
-        report = analyze_pipeline(decls, stages, name=name)
-        if not report.fluidic_safe:
-            raise LintError([report])
-        return report
-    return None
 
 
 def dependency_edges(decls: Sequence[BufferDecl], stages: Sequence[Stage],
@@ -327,40 +357,11 @@ def dependency_edges(decls: Sequence[BufferDecl], stages: Sequence[Stage],
     point at the in-loop producer.
     """
     edges: List[Tuple[str, str, str]] = []
-    last: Dict[str, str] = {
-        d.name: "<host-init>" for d in decls if d.init is not None
-    }
-
-    def writers_of(body: Sequence[Stage]) -> Dict[str, str]:
-        writers: Dict[str, str] = {}
-        for stage in body:
-            if isinstance(stage, KernelStage):
-                for buf in stage.writes():
-                    writers[buf] = stage.name
-            elif isinstance(stage, HostStage):
-                for buf in stage.writes:
-                    writers[buf] = stage.name
-            elif isinstance(stage, WhileStage):
-                writers.update(writers_of(stage.body))
-        return writers
-
-    def walk(body: Sequence[Stage]) -> None:
-        for stage in body:
-            if isinstance(stage, WhileStage):
-                last.update(writers_of(stage.body))
-                walk(stage.body)
-                continue
-            if isinstance(stage, KernelStage):
-                stage_reads: Sequence[str] = stage.reads()
-                stage_writes: Sequence[str] = stage.writes()
-            else:
-                stage_reads = stage.reads
-                stage_writes = stage.writes
-            for buf in stage_reads:
-                edges.append((last.get(buf, "<undefined>"), buf, stage.name))
-            for buf in stage_writes:
-                last[buf] = stage.name
-    walk(stages)
+    for stage, last in scan_last_writers(decls, flatten_stages(stages)):
+        for buf in stage.reads:
+            writer = last.get(buf, "<undefined>")
+            producer = writer if isinstance(writer, str) else writer.name
+            edges.append((producer, buf, stage.name))
     return edges
 
 
@@ -400,20 +401,12 @@ class PipelineApp(PolybenchApp):
 
     def kernel_specs(self) -> List[KernelSpec]:
         _, stages = self.pipeline()
-        specs: List[KernelSpec] = []
-        seen: Set[Tuple[str, str]] = set()
-
-        def walk(body: Sequence[Stage]) -> None:
-            for stage in body:
-                if isinstance(stage, KernelStage):
-                    key = (stage.spec.name, stage.spec.version)
-                    if key not in seen:
-                        seen.add(key)
-                        specs.append(stage.spec)
-                elif isinstance(stage, WhileStage):
-                    walk(stage.body)
-        walk(stages)
-        return specs
+        specs: Dict[Tuple[str, str], KernelSpec] = {}
+        for stage in flatten_stages(stages):
+            if stage.spec is not None:
+                specs.setdefault((stage.spec.name, stage.spec.version),
+                                 stage.spec)
+        return list(specs.values())
 
     def kernel_metas(self) -> List[KernelMeta]:
         _, stages = self.pipeline()
@@ -433,7 +426,7 @@ class PipelineApp(PolybenchApp):
                 metas.append(KernelMeta(stage.spec.name, stage.ndrange))
         return metas
 
-    def analyze(self):
+    def analyze(self) -> LintReport:
         """The pipeline's static FK4xx/FK5xx report (cached per instance)."""
         cached = getattr(self, "_pipeline_report", None)
         if cached is None:
@@ -447,7 +440,7 @@ class PipelineApp(PolybenchApp):
     def host_program(self, runtime: AbstractRuntime,
                      inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         decls, stages = self.pipeline()
-        sanitizer, recorder = self._pipeline_guard(runtime, decls, stages)
+        sanitizer = self._pipeline_guard(runtime, decls, stages)
         try:
             decls_by_name = {d.name: d for d in decls}
             buffers = {
@@ -469,92 +462,41 @@ class PipelineApp(PolybenchApp):
             return outputs
         finally:
             if sanitizer is not None:
-                sanitizer.detach(recorder)
-                self._report_sanitizer(runtime, sanitizer)
+                sanitizer.detach(runtime.machine.tracer)
+                if sanitizer.violations:
+                    runtime.emit_lint(LintReport(
+                        self.name, "pipeline",
+                        [v.as_finding() for v in sanitizer.violations]))
 
     # -- pipeline lint gate + runtime sanitizer ------------------------------
     def _pipeline_guard(self, runtime: AbstractRuntime, decls, stages):
         """Apply ``FluidiCLConfig.lint`` to the whole pipeline.
 
         ``strict`` refuses to launch a pipeline with FK4xx/FK5xx errors
-        before any buffer exists; ``warn`` emits deduplicated
-        ``lint_finding`` events and proceeds.  When the machine records
-        events, a :class:`~repro.analysis.pipeline_sanitizer.
+        before any buffer exists; ``warn`` hands the report to the
+        runtime's lint emitter and proceeds.  When the machine records
+        events, the returned :class:`~repro.analysis.pipeline_sanitizer.
         PipelineSanitizer` is attached for the duration of the run so the
         static dataflow claims are validated dynamically.  Runtimes
         without a lint posture (the single-device baseline) are passed
         through untouched.
         """
-        config = getattr(runtime, "config", None)
-        lint = getattr(config, "lint", "off") if config is not None else "off"
+        lint = getattr(getattr(runtime, "config", None), "lint", "off")
         if lint == "off":
-            return None, None
+            return None
         report = self.analyze()
         if lint == "strict" and not report.fluidic_safe:
-            from repro.analysis.diagnostics import LintError
-
             raise LintError([report])
-        self._emit_pipeline_findings(runtime, report)
-        recorder = getattr(getattr(runtime, "machine", None), "tracer", None)
-        if recorder is None or not hasattr(recorder, "add_listener"):
-            return None, None
+        runtime.emit_lint(report)
+        recorder = runtime.machine.tracer
+        if recorder is None:
+            return None
         from repro.analysis.pipeline_analyzer import predicted_writers
         from repro.analysis.pipeline_sanitizer import PipelineSanitizer
 
         sanitizer = PipelineSanitizer(predicted_writers(decls, stages),
                                       strict=(lint == "strict"))
-        return sanitizer.attach(recorder), recorder
-
-    def _lint_seen(self, runtime: AbstractRuntime) -> Set[Tuple]:
-        seen = getattr(self, "_pipeline_lint_emitted", None)
-        if seen is None:
-            seen = {}
-            self._pipeline_lint_emitted = seen
-        return seen.setdefault(id(runtime), set())
-
-    def _emit_pipeline_findings(self, runtime: AbstractRuntime,
-                                report) -> None:
-        from repro.analysis.diagnostics import Severity
-
-        engine = getattr(runtime, "engine", None)
-        if engine is None:
-            return
-        seen = self._lint_seen(runtime)
-        for finding in report.worth_reporting(Severity.WARNING):
-            key = (finding.rule_id, finding.stage, finding.buffer,
-                   finding.arg)
-            if key in seen:
-                continue
-            seen.add(key)
-            runtime.stats.extra["lint_findings"] += 1
-            engine.trace(
-                "lint_finding", kernel=report.kernel, version="pipeline",
-                rule=finding.rule_id, severity=finding.severity.value,
-                arg=finding.arg, stage=finding.stage, buffer=finding.buffer,
-                message=finding.message,
-            )
-
-    def _report_sanitizer(self, runtime: AbstractRuntime, sanitizer) -> None:
-        """Surface runtime dataflow divergences as ``lint_finding`` events."""
-        if not sanitizer.violations:
-            return
-        engine = getattr(runtime, "engine", None)
-        if engine is None:
-            return
-        seen = self._lint_seen(runtime)
-        for violation in sanitizer.violations:
-            key = ("sanitizer", violation.rule_id, violation.buffer,
-                   violation.producer)
-            if key in seen:
-                continue
-            seen.add(key)
-            runtime.stats.extra["lint_findings"] += 1
-            engine.trace(
-                "lint_finding", kernel=self.name, version="pipeline",
-                rule=violation.rule_id, severity="error", arg=None,
-                stage=violation.producer, buffer=violation.buffer,
-                message=violation.message,
-            )
+        return sanitizer.attach(recorder)
 
     def _run_stages(self, runtime: AbstractRuntime,
                     buffers: Mapping[str, Any],

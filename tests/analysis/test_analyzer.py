@@ -3,10 +3,9 @@
 import pytest
 
 from repro.analysis import Severity, analyze_kernel
-from repro.analysis.analyzer import LONG_LOOP_ITERS, analyze_variant
+from repro.analysis.analyzer import LONG_LOOP_ITERS
 from repro.hw.cost import WorkGroupCost
 from repro.kernels.dsl import Intent, KernelSpec, buffer_arg, scalar_arg
-from repro.kernels.transforms import gpu_fluidic_variant, plain_variant
 
 COST = WorkGroupCost(flops=1e5, bytes_read=1e4, bytes_written=1e4)
 LONG_COST = WorkGroupCost(flops=1e5, bytes_read=1e4, bytes_written=1e4,
@@ -210,15 +209,6 @@ class TestAbortRules:
         report = analyze_kernel(kernel(
             body, buffer_arg("x"), buffer_arg("y", Intent.OUT)))
         assert "FK303" in report.rule_ids()
-
-    def test_analyze_variant_uses_variant_flags(self):
-        spec = kernel(_clean_body, buffer_arg("x"),
-                      buffer_arg("y", Intent.OUT), cost=LONG_COST)
-        fluidic = gpu_fluidic_variant(spec)
-        assert analyze_variant(fluidic).findings == []
-        plain = plain_variant(spec)
-        report = analyze_variant(plain)
-        assert "FK301" in report.rule_ids()
 
 
 class TestReportShape:

@@ -11,11 +11,9 @@ sanitizer is built on.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
     HOST_PRODUCER,
-    LintError,
     analyze_pipeline,
     predicted_writers,
 )
@@ -27,7 +25,6 @@ from repro.workloads.pipeline import (
     HostStage,
     KernelStage,
     WhileStage,
-    validate_pipeline,
 )
 
 N, LOCAL = 64, 8
@@ -122,26 +119,6 @@ class TestCleanPipeline:
         assert report.findings == []
         assert report.fluidic_safe
         assert report.label == "pipeline:toy"
-
-    def test_validate_pipeline_analyze_returns_report(self):
-        decls, stages = self._pipeline()
-        report = validate_pipeline(decls, stages, analyze=True, name="toy")
-        assert report is not None and report.fluidic_safe
-        # without analyze= the legacy contract (None) is preserved
-        assert validate_pipeline(decls, stages) is None
-
-    def test_validate_pipeline_analyze_raises_on_errors(self):
-        decls, stages = self._pipeline()
-        sneaky = KernelStage(
-            spec=_spec("kp_sneaky",
-                       (buffer_arg("x"), buffer_arg("t"),
-                        buffer_arg("y", Intent.OUT)),
-                       _overwrite_body),
-            ndrange=_ND, binds={"x": "x", "t": "t", "y": "y"})
-        with pytest.raises(LintError) as excinfo:
-            validate_pipeline(decls, [stages[0], sneaky, stages[1]],
-                              analyze=True, name="toy")
-        assert "FK401" in str(excinfo.value)
 
 
 class TestFk402Exemptions:

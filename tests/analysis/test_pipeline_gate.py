@@ -18,10 +18,13 @@ created; ``lint="warn"`` launches it but emits the FK401 finding as a
 typed ``lint_finding`` event.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.analysis import LintError
+from repro.analysis.known_bad import host_clobber
 from repro.core.config import FluidiCLConfig
 from repro.core.runtime import FluidiCLRuntime
 from repro.hw.cost import WorkGroupCost
@@ -197,3 +200,51 @@ class TestWarnGate:
         _, machine, _, _ = _run(app, lint="warn", trace=True)
         assert not [e for e in machine.tracer.events
                     if e.kind is EventKind.LINT]
+
+
+class HostClobberApp(PipelineApp):
+    """The FK404 ``host-clobber`` known-bad fixture as a runnable app."""
+
+    name = "host-clobber"
+
+    def build_inputs(self, rng):
+        return {"x": rng.standard_normal(64).astype(np.float32)}
+
+    def reference(self, inputs):  # pragma: no cover - run unchecked
+        return {}
+
+    def kernel_metas(self):
+        return []
+
+    def buffer_decls(self):
+        return host_clobber()[0]
+
+    def stages(self):
+        return host_clobber()[1]
+
+
+class TestFindingsOncePerRuntime:
+    def test_every_fresh_runtime_reports_the_finding(self):
+        """Each runtime surfaces the pipeline's FK404 exactly once, even
+        when it reuses the memory (and so the ``id``) of a collected one."""
+        app = HostClobberApp()
+        counts = []
+        for _ in range(30):
+            runtime = FluidiCLRuntime(build_machine(),
+                                      config=FluidiCLConfig(lint="warn"))
+            app.execute(runtime, check=False)
+            counts.append(runtime.stats.extra["lint_findings"])
+            del runtime
+            gc.collect()
+        assert counts == [1] * 30
+
+    def test_rerun_on_the_same_runtime_reports_nothing_new(self):
+        app = HostClobberApp()
+        machine = build_machine(trace=True)
+        runtime = FluidiCLRuntime(machine, config=FluidiCLConfig(lint="warn"))
+        app.execute(runtime, check=False)
+        HostClobberApp().execute(runtime, check=False)
+        events = [e for e in machine.tracer.events
+                  if e.kind is EventKind.LINT]
+        assert [e["rule"] for e in events] == ["FK404"]
+        assert runtime.stats.extra["lint_findings"] == 1

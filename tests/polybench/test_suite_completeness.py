@@ -8,7 +8,7 @@ kernel specs, and statically clean under the kernel linter.
 
 import pytest
 
-from repro.analysis.analyzer import analyze_specs
+from repro.analysis.analyzer import analyze_kernel
 from repro.polybench.suite import EXTENDED_SUITE, SCALES, make_app
 
 IRREGULAR = ("spmv", "histogram", "bfs", "scan")
@@ -54,7 +54,7 @@ class TestIntrospection:
     @pytest.mark.parametrize("name", EXTENDED_SUITE)
     def test_kernels_lint_clean(self, name):
         app = make_app(name, "test")
-        reports = analyze_specs(app.kernel_specs())
+        reports = [analyze_kernel(spec) for spec in app.kernel_specs()]
         findings = [f for r in reports for f in r.findings]
         assert not findings, (
             f"{name}: linter found "
