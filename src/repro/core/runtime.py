@@ -23,6 +23,7 @@ with whatever the host does next (§5.5/§5.6).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -67,7 +68,8 @@ class _KernelPlan:
     board: StatusBoard
     gpu_event: Any
     #: per-worker landing buffers on the anchor for shipped data, keyed by
-    #: front index then arg name
+    #: front index then arg name; each worker's scheduler fills in its own
+    #: when it first ships a buffer
     landing: Dict[int, Dict[str, Buffer]]
     #: pristine copies of the original contents, by arg name
     orig: Dict[str, Buffer]
@@ -78,6 +80,8 @@ class _KernelPlan:
     ledger: FrontLedger
     #: version each worker copy must reach before subkernels start (§5.3)
     required_cpu_versions: Dict[FluidiBuffer, int] = field(default_factory=dict)
+    #: read-back staging copies (§5.5), by arg name
+    readback: Dict[str, Buffer] = field(default_factory=dict)
 
     def front_args(self, spec: KernelSpec, index: int) -> Dict[str, Any]:
         return {
@@ -85,6 +89,21 @@ class _KernelPlan:
                      else self.args[a.name])
             for a in spec.args
         }
+
+
+@dataclass
+class _PendingReadBack:
+    """One buffer's §5.6 read-back until it issues its D2H copy.
+
+    A host read that serves the same version from the anchor meanwhile
+    sets ``read`` and, when it completes, ``data``: the anchor's contents
+    at that instant.  The dh thread then delivers ``data`` to the worker
+    copies instead of bringing the buffer down a second time (§6.2).
+    """
+
+    version: int
+    read: Any = None
+    data: Optional[np.ndarray] = None
 
 
 class FluidiCLRuntime(AbstractRuntime):
@@ -135,12 +154,16 @@ class FluidiCLRuntime(AbstractRuntime):
         #: completion events of merge/commit work in flight on ``app_queue``;
         #: :meth:`finish` and :meth:`drain` wait on (and then prune) these
         self._pending_commits: List[Any] = []
+        #: read-backs a host read may still cover, by buffer; an entry
+        #: leaves when its dh thread reaches that buffer
+        self._readbacks: Dict[FluidiBuffer, _PendingReadBack] = {}
         # Every run counter, registered as zero so each name is present
         # (and exported) whether or not its event ever happens.
         self.stats.extra.update(
             gpu_input_refreshes=0,
             front_input_refreshes=0,
             stale_dh_discards=0,
+            readbacks_covered=0,
             merges=0,
             subkernels_launched=0,
             status_messages=0,
@@ -174,8 +197,13 @@ class FluidiCLRuntime(AbstractRuntime):
     # ------------------------------------------------------------------
     def create_buffer(self, name: str, shape, dtype,
                       flags: MemFlag = MemFlag.READ_WRITE) -> FluidiBuffer:
-        """``clCreateBuffer``: allocates mirrors on every device (§4.1)."""
+        """``clCreateBuffer``: allocates mirrors on every device (§4.1).
+
+        Idle pool buffers on the anchor are freed first if the anchor copy
+        would not fit otherwise (§6.1).
+        """
         self.machine.host_api_call()
+        self.pool.make_room(math.prod(shape) * np.dtype(dtype).itemsize)
         copies = [
             self.context.create_buffer(front.device, shape, dtype, flags,
                                        f"{name}@{front.device.name}")
@@ -251,6 +279,7 @@ class FluidiCLRuntime(AbstractRuntime):
             self._quiesce_copy(handle, 0)
             event = self.dh_queue.enqueue_read_buffer(handle.copies[0],
                                                       host_array)
+            self._cover_readback(handle, event)
             device = self.gpu_device
         else:
             # N-device sets: some other worker front may hold the only
@@ -281,6 +310,25 @@ class FluidiCLRuntime(AbstractRuntime):
                 f"read of {handle.name!r} cancelled: {event.error}"
             )
         self.stats.reads += 1
+
+    def _cover_readback(self, handle: FluidiBuffer, read) -> None:
+        """Let this anchor read stand in for the pending §5.6 read-back of
+        the same version, if that read-back has not issued its D2H yet.
+
+        The anchor's contents are captured when the read completes, before
+        the host can touch its array or a later kernel the anchor copy.
+        """
+        pending = self._readbacks.get(handle)
+        if (pending is None or pending.read is not None
+                or pending.version != handle.latest):
+            return
+        pending.read = read
+        anchor_copy = handle.copies[0]
+
+        def capture(_done):
+            pending.data = anchor_copy.snapshot()
+
+        read.done.add_callback(capture)
 
     def _quiesce_copy(self, handle: FluidiBuffer, index: int) -> None:
         """Wait until every in-flight writer of copy ``index`` has finished."""
@@ -454,6 +502,10 @@ class FluidiCLRuntime(AbstractRuntime):
         KernelWatchdog(self, self.gpu_device, plan.gpu_event.done,
                        self.config.watchdog_timeout,
                        label=f"kernel k{kernel_id}")
+        # Read-back staging copies (§5.5), allocated while the anchor
+        # kernel runs instead of after it.
+        for fbuf in out_fbuffers:
+            plan.readback[fbuf.name] = self._host_acquire(fbuf, "readback")
         self.machine.run_until(plan.gpu_event.done)
 
         if plan.gpu_event.cancelled:
@@ -491,7 +543,6 @@ class FluidiCLRuntime(AbstractRuntime):
             gpu_groups=record.gpu_groups, cpu_groups=record.cpu_groups,
             path=path,
         )
-        self.pool.trim()
         self.records.append(record)
         self.stats.kernels_enqueued += 1
         return record
@@ -579,23 +630,11 @@ class FluidiCLRuntime(AbstractRuntime):
                       record, required_cpu_versions) -> _KernelPlan:
         base = specs[0]
         workers = self.device_set.workers
-        # Helper buffers on the anchor: one landing area per worker front
-        # plus an original copy per out/inout buffer (§4.1), served from
-        # the pool (§6.1).
-        landing: Dict[int, Dict[str, Buffer]] = {w.index: {} for w in workers}
-        orig: Dict[str, Buffer] = {}
-        alloc_seconds = 0.0
-        for fbuf in out_fbuffers:
-            for front in workers:
-                area, t_a = self.pool.acquire(fbuf.shape, fbuf.dtype, "cpuin")
-                landing[front.index][fbuf.name] = area
-                alloc_seconds += t_a
-            pristine, t_b = self.pool.acquire(fbuf.shape, fbuf.dtype, "orig")
-            orig[fbuf.name] = pristine
-            alloc_seconds += t_b
-        if alloc_seconds:
-            self.engine.run(self.now + alloc_seconds)
-
+        # An original copy per out/inout buffer (§4.1), served from the
+        # pool (§6.1).  Landing areas for shipped results are left to each
+        # worker's scheduler, which acquires one when it first ships.
+        orig = {fbuf.name: self._host_acquire(fbuf, "orig")
+                for fbuf in out_fbuffers}
         for fbuf in out_fbuffers:
             self.app_queue.enqueue_copy_buffer(fbuf.copies[0], orig[fbuf.name])
 
@@ -618,7 +657,7 @@ class FluidiCLRuntime(AbstractRuntime):
             out_fbuffers=out_fbuffers,
             board=board,
             gpu_event=None,
-            landing=landing,
+            landing={w.index: {} for w in workers},
             orig=orig,
             profilers=profilers,
             record=record,
@@ -631,6 +670,13 @@ class FluidiCLRuntime(AbstractRuntime):
             LaunchConfig(status_board=board, kernel_id=kernel_id),
         )
         return plan
+
+    def _host_acquire(self, fbuf: FluidiBuffer, label: str) -> Buffer:
+        """A pool buffer shaped like ``fbuf``; the host blocks on a miss."""
+        buffer, ready = self.pool.acquire(fbuf.shape, fbuf.dtype, label)
+        if ready is not None:
+            self.machine.run_until(ready)
+        return buffer
 
     def _handle_front_loss(self, plan: _KernelPlan,
                            schedulers: List[CpuScheduler],
@@ -721,10 +767,7 @@ class FluidiCLRuntime(AbstractRuntime):
             # release callback cannot be used because callbacks on a lost
             # device are themselves cancelled.
             self.machine.run_until(self.hd_queue.finish_event())
-            for area in plan.landing.values():
-                for buffer in area.values():
-                    self.pool.release(buffer)
-            for buffer in plan.orig.values():
+            for buffer in self._helpers(plan) + list(plan.readback.values()):
                 self.pool.release(buffer)
             return
 
@@ -752,6 +795,9 @@ class FluidiCLRuntime(AbstractRuntime):
         self.engine.trace("commit", kernel_id=plan.kernel_id,
                           path="cpu-complete",
                           buffers=[f.name for f in plan.out_fbuffers])
+        # No read-back follows: the committed copy is already on a worker.
+        for buffer in plan.readback.values():
+            self.pool.release(buffer)
         self._release_helpers_after_hd_drain(plan)
 
     def _merge_and_commit(self, plan: _KernelPlan) -> None:
@@ -786,16 +832,9 @@ class FluidiCLRuntime(AbstractRuntime):
 
         # Read-back staging copies so the next kernel can overwrite the live
         # buffers while results stream to the host (§5.5).
-        readback: Dict[str, Buffer] = {}
-        alloc_seconds = 0.0
         for fbuf in plan.out_fbuffers:
-            staging, t_alloc = self.pool.acquire(fbuf.shape, fbuf.dtype, "readback")
-            readback[fbuf.name] = staging
-            alloc_seconds += t_alloc
-        if alloc_seconds:
-            self.engine.run(self.now + alloc_seconds)
-        for fbuf in plan.out_fbuffers:
-            self.app_queue.enqueue_copy_buffer(fbuf.copies[0], readback[fbuf.name])
+            self.app_queue.enqueue_copy_buffer(fbuf.copies[0],
+                                               plan.readback[fbuf.name])
 
         # The blocking kernel call returns once the merged result exists.
         # The commit marker is also tracked in ``_pending_commits`` so that
@@ -812,7 +851,7 @@ class FluidiCLRuntime(AbstractRuntime):
                           path="merged" if record.merged else "gpu-only",
                           buffers=[f.name for f in plan.out_fbuffers])
 
-        self._spawn_dh_thread(plan, readback)
+        self._spawn_dh_thread(plan)
         self._release_helpers_after_hd_drain(plan)
 
     def _enqueue_merge(self, plan: _KernelPlan, fbuf: FluidiBuffer,
@@ -846,14 +885,21 @@ class FluidiCLRuntime(AbstractRuntime):
 
         merge_event.done.add_callback(report)
 
-    def _spawn_dh_thread(self, plan: _KernelPlan, readback: Dict[str, Buffer]) -> None:
-        """Device-to-host thread (§5.6), one per kernel, runs in background."""
+    def _spawn_dh_thread(self, plan: _KernelPlan) -> None:
+        """Device-to-host thread (§5.6), one per kernel, runs in background.
+
+        Each out-buffer's read-back is registered at once, so a host read
+        of the same version from the anchor can cover it until the thread
+        gets to that buffer.
+        """
+        pending = [_PendingReadBack(plan.kernel_id) for _ in plan.out_fbuffers]
+        self._readbacks.update(zip(plan.out_fbuffers, pending))
         process = self.engine.process(
-            self._dh_thread(plan, readback), name=f"fluidicl-dh-k{plan.kernel_id}"
+            self._dh_thread(plan, pending), name=f"fluidicl-dh-k{plan.kernel_id}"
         )
         self._dh_processes.append(process)
 
-    def _dh_thread(self, plan: _KernelPlan, readback: Dict[str, Buffer]):
+    def _dh_thread(self, plan: _KernelPlan, pending: List[_PendingReadBack]):
         yield self.engine.timeout(self.machine.host.thread_spawn_overhead)
         kernel_id = plan.kernel_id
         self.engine.trace("dh_readback_begin", kernel=plan.record.name,
@@ -861,14 +907,28 @@ class FluidiCLRuntime(AbstractRuntime):
                           buffers=len(plan.out_fbuffers))
         delivered = 0
         workers = self.device_set.workers
-        for fbuf in plan.out_fbuffers:
-            staging_buffer = readback[fbuf.name]
-            host_staging = np.empty(fbuf.shape, dtype=fbuf.dtype)
-            read_event = self.dh_queue.enqueue_read_buffer(
-                staging_buffer, host_staging
-            )
-            yield read_event.done
-            if read_event.cancelled:
+        for fbuf, readback in zip(plan.out_fbuffers, pending):
+            # From here on no host read can cover this read-back.
+            if self._readbacks.get(fbuf) is readback:
+                del self._readbacks[fbuf]
+            data = None
+            if readback.read is not None:
+                # A host read served this version from the anchor: deliver
+                # its data instead of a second D2H of the same bytes (§6.2).
+                yield readback.read.done
+                if not readback.read.cancelled:
+                    data = readback.data
+                    self.stats.extra["readbacks_covered"] += 1
+            if data is None:
+                host_staging = np.empty(fbuf.shape, dtype=fbuf.dtype)
+                read_event = self.dh_queue.enqueue_read_buffer(
+                    plan.readback[fbuf.name], host_staging
+                )
+                yield read_event.done
+                if not read_event.cancelled:
+                    data = host_staging
+            self.pool.release(plan.readback[fbuf.name])
+            if data is None:
                 # Anchor died before the staging copy came down; the host
                 # array holds no data.  Abandon the delivery (and wake any
                 # §5.3 waiter so it can re-evaluate instead of hanging).
@@ -878,7 +938,7 @@ class FluidiCLRuntime(AbstractRuntime):
                 for front in workers:
                     index = front.index
                     write_event = front.queue.enqueue_write_buffer(
-                        fbuf.copies[index], host_staging
+                        fbuf.copies[index], data
                     )
                     fbuf.record_host_write(index, write_event)
                     yield write_event.done
@@ -900,7 +960,6 @@ class FluidiCLRuntime(AbstractRuntime):
             else:
                 # The buffer was rewritten meanwhile; discard (§5.3).
                 self._discard_stale_dh(kernel_id, fbuf)
-            self.pool.release(staging_buffer)
         self.engine.trace("dh_readback_end", kernel=plan.record.name,
                           kernel_id=kernel_id, delivered=delivered)
 
@@ -922,14 +981,24 @@ class FluidiCLRuntime(AbstractRuntime):
             # version unchanged and react (failover data-loss detection).
             fbuf.gates[i].fire(fbuf.version_of(i))
 
-    def _release_helpers_after_hd_drain(self, plan: _KernelPlan) -> None:
-        """Return landing/orig buffers to the pool once in-flight worker
-        sends (whose results are now moot) have drained out of the ``hd``
-        queue."""
-        helpers = [
+    @staticmethod
+    def _helpers(plan: _KernelPlan) -> List[Buffer]:
+        """The kernel's landing areas and pristine copies."""
+        return [
             buffer for area in plan.landing.values()
             for buffer in area.values()
         ] + list(plan.orig.values())
+
+    def _release_helpers_after_hd_drain(self, plan: _KernelPlan) -> None:
+        """Return landing/orig buffers to the pool once in-flight worker
+        sends (whose results are now moot) have drained out of the ``hd``
+        queue.
+
+        The kernel is finalized by now, so no scheduler acquires another
+        landing area: each one registers in the plan before its allocation
+        wait, and ships nothing once it sees the finalized board.
+        """
+        helpers = self._helpers(plan)
         if not helpers:
             return
 

@@ -34,8 +34,11 @@ class CpuScheduler:
         self.runtime = runtime
         self.plan = plan
         self.front = front
-        #: the front's landing buffers on the anchor, by arg name
+        #: the front's landing buffers on the anchor, by arg name, acquired
+        #: by :meth:`_send_results_and_status` when it first ships each one
         self.landing = plan.landing[self.front.index]
+        #: trace track of this thread (allocation waits are charged to it)
+        self.track = f"{front.queue.name}-sched"
         #: True when this scheduler owns the profiler choice reported for
         #: the kernel (the CPU-path front's scheduler)
         self.primary = self.front is runtime.primary_front
@@ -249,15 +252,26 @@ class CpuScheduler:
         board = plan.board
         last_write = None
         for fbuf in plan.out_fbuffers:
+            area = self.landing.get(fbuf.name)
+            if area is None:
+                # First shipment of this buffer: its landing area on the
+                # anchor is allocated now, and this thread waits for it.
+                # It is registered in the plan before the wait, so the
+                # kernel's helper release frees it whatever happens next.
+                if board.finalized:
+                    return
+                area, ready = runtime.pool.acquire(
+                    fbuf.shape, fbuf.dtype, "cpuin", track=self.track)
+                self.landing[fbuf.name] = area
+                if ready is not None:
+                    yield ready
             yield engine.timeout(fbuf.nbytes / host.memcpy_bandwidth)
             snapshot: np.ndarray = fbuf.copies[index].snapshot()
             # The kernel may have been finalized while we copied; its helper
             # buffers are scheduled for release, so stop sending (§5.3).
             if board.finalized:
                 return
-            last_write = runtime.hd_queue.enqueue_write_buffer(
-                self.landing[fbuf.name], snapshot
-            )
+            last_write = runtime.hd_queue.enqueue_write_buffer(area, snapshot)
 
         if board.finalized:
             return

@@ -19,6 +19,7 @@ from repro.harness.check_cli import bounded
 from repro.harness.runner import first_kernel_strike_time, measure_app
 from repro.harness.timeline import extract_spans, render_gantt
 from repro.obs.chrome import write_chrome_trace
+from repro.obs.events import EventKind
 from repro.polybench.suite import EXTENDED_SUITE, SCALES, make_app
 
 __all__ = ["trace_main"]
@@ -138,11 +139,18 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         print(f"  {record.summary()}")
     if not args.no_gantt:
         print(render_gantt(extract_spans(recorder)))
+    blocked = {}
+    for span in recorder.event_spans(EventKind.POOL):
+        blocked[span.track] = blocked.get(span.track, 0.0) + span.duration
+    if blocked:
+        print("  blocked on allocation: " + ", ".join(
+            f"{track} {seconds * 1e3:.3f} ms"
+            for track, seconds in blocked.items()))
     print(f"  events: {len(recorder.events)} typed "
           f"({len(trace['traceEvents'])} trace entries) -> {args.out}")
     interesting = (
-        "merges", "stale_dh_discards", "subkernels_launched",
-        "status_messages", "gpu_input_refreshes",
+        "merges", "stale_dh_discards", "readbacks_covered",
+        "subkernels_launched", "status_messages", "gpu_input_refreshes",
     ) + tuple(f"reads_from[{d.name}]" for d in runtime.platform.devices)
     shown = {k: metrics[k] for k in interesting if k in metrics}
     print(f"  metrics: {shown}")

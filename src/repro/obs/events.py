@@ -16,7 +16,9 @@ kind              meaning
 ``dh_readback``   the background device-to-host thread of one kernel
                   (§5.6): begin at spawn, end when all staging data landed
 ``stale_discard`` late data discarded by version tracking (§5.3)
-``pool``          helper-buffer pool traffic: hit or miss (§6.1)
+``pool``          helper-buffer pool traffic (§6.1): a hit is an instant,
+                  a miss an ``alloc`` span on the track of the thread it
+                  blocks (``runtime`` or a worker's scheduler)
 ``buffer_write``  a host ``clEnqueueWriteBuffer`` committing a new version
 ``buffer_read``   a host ``clEnqueueReadBuffer`` with its source device
 ``commit``        a kernel committing its out-buffers (cpu/gpu path)

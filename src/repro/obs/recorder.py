@@ -47,7 +47,9 @@ _CATEGORIES: Dict[str, Tuple[EventKind, Phase, str]] = {
     "dh_readback_end": (EventKind.DH_READBACK, Phase.END, "dh-thread"),
     "stale_dh_discard": (EventKind.STALE_DISCARD, Phase.INSTANT, "dh-thread"),
     "pool_hit": (EventKind.POOL, Phase.INSTANT, "pool"),
-    "pool_miss": (EventKind.POOL, Phase.INSTANT, "pool"),
+    # a pool miss blocks the thread that asked (payload ``track``)
+    "alloc_begin": (EventKind.POOL, Phase.BEGIN, "runtime"),
+    "alloc_end": (EventKind.POOL, Phase.END, "runtime"),
     "buffer_write": (EventKind.BUFFER_WRITE, Phase.INSTANT, "runtime"),
     "buffer_read": (EventKind.BUFFER_READ, Phase.INSTANT, "runtime"),
     "commit": (EventKind.COMMIT, Phase.INSTANT, "runtime"),
@@ -101,8 +103,8 @@ class EventRecorder:
             category, (EventKind.GENERIC, Phase.INSTANT, "misc")
         )
         track = payload.get("queue") or payload.get("track") or default_track
-        if category in ("pool_hit", "pool_miss"):
-            name = category.split("_", 1)[1]  # "hit" / "miss"
+        if kind is EventKind.POOL:
+            name = "hit" if category == "pool_hit" else "alloc"
         elif kind in (EventKind.FAULT, EventKind.FAILOVER):
             # fault events carry their class in the payload ("device-loss",
             # "transfer", ...); watchdog/failover events name themselves

@@ -377,7 +377,7 @@ class TestClockMonotonicityInvariant:
         recorder, monitor = make_monitor()
         feed(recorder, "kernel_begin", ts=2e-6, kernel_id=1, kernel="k",
              groups=4)
-        feed(recorder, "pool_miss", ts=1e-6)
+        feed(recorder, "pool_hit", ts=1e-6)
         assert first_invariant(monitor) == "clock-monotonicity"
 
     def test_unhandled_categories_are_checked_too(self):

@@ -1,0 +1,142 @@
+"""Fixed per-kernel costs off the anchor's critical path.
+
+Helper allocation (§6.1) and the §5.6 read-back used to add to every
+cooperative kernel: the host allocated every helper before it launched
+the anchor kernel and again after it ended, a per-kernel pool trim made
+bfs allocate the same helpers at every level, and ``finish()`` waited for
+a second device-to-host copy of data the host had already read.  These
+tests pin each mechanism that took those costs away.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.runtime import FluidiCLRuntime
+from repro.faults import FaultKind, FaultSchedule, install_faults
+from repro.harness.runner import measure_app
+from repro.hw.machine import build_machine
+from repro.obs import EventKind
+from repro.ocl.health import DeviceLostError
+from repro.ocl.ndrange import NDRange
+from repro.polybench import make_app
+
+from tests.conftest import make_scale_kernel
+
+
+def _gemm(faults=None):
+    """gemm at small scale on a traced ``default`` node, not yet run."""
+    app = make_app("gemm", "small", seed=1)
+    machine = build_machine(trace=True)
+    runtime = FluidiCLRuntime(machine)
+    if faults is not None:
+        install_faults(runtime, faults)
+    return app, runtime, machine
+
+
+def _buffer(runtime, name):
+    (fbuf,) = [b for b in runtime.buffers if b.name == name]
+    return fbuf
+
+
+class TestPoolKeepsHelpers:
+    def test_bfs_reuses_its_helpers_across_levels(self):
+        """Without a per-kernel trim, bfs allocates each helper shape
+        once instead of at every level (29 misses with the trim)."""
+        run = measure_app(make_app("bfs", "small", seed=1))
+        assert run.runtime.pool.misses <= 9
+        assert run.runtime.pool.hits > 3 * run.runtime.pool.misses
+
+    @pytest.mark.parametrize("preset", ["default", "cpu+2gpu", "big.little"])
+    def test_every_helper_returns_after_drain(self, preset):
+        for name in ("bfs", "gemm", "scan"):
+            run = measure_app(make_app(name, "test", seed=1), machine=preset)
+            assert run.runtime.pool.in_use_count == 0, name
+
+
+class TestLandingAreas:
+    def test_no_landing_area_when_no_worker_ships(self):
+        """scan's kernels credit the CPU nothing, so it never ships and
+        no landing area is allocated."""
+        run = measure_app(make_app("scan", "small", seed=1), trace=True)
+        labels = {e["label"] for e in run.machine.tracer.by_kind(EventKind.POOL)}
+        assert "cpuin" not in labels
+
+    def test_first_shipment_allocates_on_the_scheduler_thread(self):
+        run = measure_app(make_app("gemm", "small", seed=1), trace=True)
+        spans = run.machine.tracer.event_spans(EventKind.POOL)
+        landing = [s for s in spans if s.attrs["label"] == "cpuin"]
+        assert landing
+        assert {s.track for s in landing} == {"fluidicl-w1-sched"}
+        assert {s.track for s in spans if s.attrs["label"] != "cpuin"} == {
+            "runtime"}
+
+
+class TestStagingOverlapsTheAnchor:
+    def test_staging_is_allocated_while_the_anchor_runs(self):
+        run = measure_app(make_app("gemm", "small", seed=1), trace=True)
+        tracer = run.machine.tracer
+        (staging,) = [s for s in tracer.event_spans(EventKind.POOL)
+                      if s.attrs["label"] == "readback"]
+        record = run.runtime.records[0]
+        assert record.start_time <= staging.start
+        assert staging.end < record.gpu_span[1]
+
+
+class TestHostReadCoversTheReadBack:
+    def test_gemm_reads_c_down_once(self):
+        app, runtime, machine = _gemm()
+        outputs = app.host_program(runtime, app.fresh_inputs())
+        fbuf = _buffer(runtime, "C")
+        read_done = machine.now
+        runtime.finish()
+        # finish() waits for no second copy of C: only its own API call.
+        assert machine.now - read_done == pytest.approx(
+            machine.host.api_call_overhead)
+        runtime.drain()
+        assert runtime.gpu_device.stats["bytes_d2h"] == fbuf.nbytes
+        assert runtime.stats.extra["readbacks_covered"] == 1
+        # The worker copy still receives the result, bit for bit.
+        assert fbuf.current(1)
+        assert np.array_equal(fbuf.copies[1].view, outputs["C"])
+        assert runtime._readbacks == {}
+
+    def test_without_a_host_read_the_read_back_copies_down(self):
+        runtime = FluidiCLRuntime(build_machine())
+        n = 4096
+        x = runtime.create_buffer("x", (n,), np.float32)
+        y = runtime.create_buffer("y", (n,), np.float32)
+        runtime.enqueue_write_buffer(x, np.ones(n, dtype=np.float32))
+        record = runtime.enqueue_nd_range_kernel(
+            make_scale_kernel(n, gpu_eff=0.9, cpu_eff=0.05, work_scale=32.0),
+            NDRange(n, 16), {"x": x, "y": y, "alpha": 2.0})
+        assert not record.cpu_completed_all
+        runtime.drain()
+        assert runtime.stats.extra["readbacks_covered"] == 0
+        assert runtime.gpu_device.stats["bytes_d2h"] == y.nbytes
+        assert y.current(1)
+        assert np.array_equal(y.copies[1].view, np.full(n, 2.0, np.float32))
+        assert runtime._readbacks == {}
+
+    def test_cancelled_host_read_falls_back_to_the_staging_copy(self):
+        """The anchor dies between the kernel's commit and the covering
+        host read: the read is cancelled, the dh thread falls back to its
+        own (equally doomed) D2H, and the §5.3 waiters learn that the data
+        will not arrive."""
+        app, runtime, machine = _gemm()
+        app.host_program(runtime, app.fresh_inputs())
+        (read,) = [s for s in machine.tracer.command_spans()
+                   if s.track == "fluidicl-dh"
+                   and s.attrs["buffer"].startswith("C@")]
+        faults = FaultSchedule.single(
+            FaultKind.DEVICE_LOSS,
+            at=read.start - 0.5 * machine.host.api_call_overhead,
+            device=runtime.gpu_device.name)
+        app, runtime, machine = _gemm(faults)
+        with pytest.raises(DeviceLostError):
+            app.host_program(runtime, app.fresh_inputs())
+        runtime.drain()
+        fbuf = _buffer(runtime, "C")
+        assert runtime.stats.extra["readbacks_covered"] == 0
+        assert not fbuf.dh_pending_for(1)
+        assert not fbuf.current(1)
+        assert runtime._readbacks == {}

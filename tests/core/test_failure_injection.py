@@ -90,7 +90,7 @@ class TestResourceExhaustion:
         with pytest.raises(OutOfDeviceMemoryError):
             runtime.create_buffer("big", (1 << 22,), np.float32)
 
-    def test_helper_buffers_fit_with_pool_trim(self):
+    def test_helper_buffers_are_reused_across_kernels(self):
         """Repeated kernels must not leak pool buffers (peak bounded)."""
         machine = build_machine()
         runtime = FluidiCLRuntime(machine)

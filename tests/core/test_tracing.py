@@ -10,7 +10,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.pool import ALLOC_BYTE_OVERHEAD, ALLOC_FIXED_OVERHEAD
 from repro.core.runtime import FluidiCLRuntime
+from repro.harness.runner import measure_app
 from repro.harness.timeline import extract_spans
 from repro.hw.machine import build_machine
 from repro.obs import (
@@ -21,6 +23,7 @@ from repro.obs import (
     to_chrome_trace,
 )
 from repro.ocl.ndrange import NDRange
+from repro.polybench import make_app
 
 from tests.conftest import make_scale_kernel
 
@@ -88,9 +91,30 @@ class TestEventRecorder:
 
     def test_clear_resets_both_streams(self):
         recorder = EventRecorder()
-        recorder.record(0.0, "pool_miss", {"label": "orig", "nbytes": 64})
+        recorder.record(0.0, "pool_hit", {"label": "orig", "nbytes": 64})
         recorder.clear()
         assert recorder.events == []
+
+    def test_alloc_spans_pair_on_the_blocked_threads_track(self):
+        """A pool miss is an ``alloc`` span on the track it names; a hit
+        stays an instant on the pool track."""
+        recorder = EventRecorder()
+        recorder.record(0.0, "alloc_begin", {"label": "orig", "nbytes": 64,
+                                             "track": "runtime"})
+        recorder.record(1.0, "alloc_begin", {"label": "cpuin", "nbytes": 64,
+                                             "track": "fluidicl-w1-sched"})
+        recorder.record(2.0, "alloc_end", {"label": "orig", "nbytes": 64,
+                                           "track": "runtime"})
+        recorder.record(3.0, "alloc_end", {"label": "cpuin", "nbytes": 64,
+                                           "track": "fluidicl-w1-sched"})
+        recorder.record(3.0, "pool_hit", {"label": "orig", "nbytes": 64})
+        spans = {s.track: s for s in recorder.event_spans(EventKind.POOL)}
+        assert (spans["runtime"].start, spans["runtime"].end) == (0.0, 2.0)
+        assert spans["fluidicl-w1-sched"].duration == 2.0
+        assert {s.name for s in spans.values()} == {"alloc"}
+        (hit,) = recorder.instants(EventKind.POOL)
+        assert (hit.name, hit.track) == ("hit", "pool")
+        assert recorder.counts()["pool"] == 3
 
     def test_pair_spans_ignores_unmatched_begin(self):
         recorder = EventRecorder()
@@ -149,6 +173,26 @@ class TestTracedRun:
         assert "fluidicl-app" in named  # one thread lane per track
         json.dumps(trace)  # fully serializable
         assert trace["otherData"]["metrics"]["merges"] >= 0
+
+    def test_pool_misses_are_alloc_spans_of_the_blocked_thread(self):
+        """scan on ``default``: every pool miss is one ``alloc`` span on the
+        track of the thread it blocked, the spans add up to the modeled
+        allocation cost, and the Chrome export carries them."""
+        run = measure_app(make_app("scan", "small", seed=1), trace=True)
+        pool = run.runtime.pool
+        spans = run.machine.tracer.event_spans(EventKind.POOL)
+        assert len(spans) == pool.misses > 0
+        assert all(s.name == "alloc" for s in spans)
+        assert {s.track for s in spans} <= {"runtime", "fluidicl-w1-sched"}
+        expected = (pool.misses * ALLOC_FIXED_OVERHEAD
+                    + sum(s.attrs["nbytes"] for s in spans)
+                    * ALLOC_BYTE_OVERHEAD)
+        assert sum(s.duration for s in spans) == pytest.approx(expected)
+        assert not [e for e in run.machine.tracer.events
+                    if e.category == "pool_miss"]
+        chrome = [e for e in to_chrome_trace(run.machine.tracer)["traceEvents"]
+                  if e["ph"] == "X" and e["cat"] == "pool"]
+        assert len(chrome) == len(spans)
 
     def test_gantt_and_chrome_read_the_same_stream(self):
         """The ASCII Gantt's spans and the exporter's "X" command entries

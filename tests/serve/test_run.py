@@ -114,40 +114,35 @@ PINNED = {
         dict(seed=0, requests=300, n_tenants=3, utilization=1.5,
              max_queue_depth=32, max_inflight=2, fault_seed=2, fault_n=3),
         {
-            "tenant0": ("bicg", "interactive", 162.0, 121.0, 41.0, 121.0,
-                        0.0, 17.638977544611034, 25.451009659085315,
-                        25.704626904398577, 1255.8908552044054,
-                        0.25308641975308643, 0.5289256198347108, 32.0),
-            "tenant1": ("gesummv", "interactive", 62.0, 62.0, 0.0, 42.0,
-                        20.0, 7.018180720185462, 14.044548401481904,
-                        16.829072498018064, 435.92905717838863, 0.0, 1.0,
-                        20.0),
+            "tenant0": ("bicg", "interactive", 162.0, 124.0, 38.0, 124.0, 0.0,
+                        16.98372850714301, 25.00015934164353,
+                        25.43745606124317, 1305.344504367982,
+                        0.2345679012345679, 0.5483870967741935, 32.0),
+            "tenant1": ("gesummv", "interactive", 62.0, 62.0, 0.0, 42.0, 20.0,
+                        6.632530683376662, 13.04976110977114,
+                        15.774291951405338, 442.13281599560673, 0.0, 1.0, 19.0),
             "tenant2": ("scan", "batch", 76.0, 76.0, 0.0, 76.0, 0.0,
-                        25.330742752771897, 39.32982567397634,
-                        40.86869375125088, 788.8240082275604, 0.0, 1.0,
-                        32.0),
+                        23.479040144928756, 37.848678874615146,
+                        39.523241932825755, 800.0498575158598, 0.0, 1.0, 30.0),
         },
-        (300.0, 259.0, 41.0, 239.0, 20.0, 0.13666666666666666,
-         2480.643920610354, 0.7615062761506276),
+        (300.0, 262.0, 38.0, 242.0, 20.0, 0.12666666666666668,
+         2547.5271778794486, 0.768595041322314),
     ),
     "closed-loop": (
         dict(seed=2, requests=300, n_tenants=3, arrival="closed",
              clients=24, utilization=1.5),
         {
-            "tenant0": ("spmv", "batch", 149.0, 149.0, 0.0, 149.0, 0.0,
-                        1.220776695678622, 2.5898849559141905,
-                        3.158007292364991, 3219.6130420631685, 0.0, 1.0,
-                        12.0),
-            "tenant1": ("histogram", "batch", 79.0, 79.0, 0.0, 79.0, 0.0,
-                        1.8282817351927527, 3.8716363776645895,
-                        4.0852356693161145, 1707.0431565301362, 0.0, 1.0,
-                        9.0),
-            "tenant2": ("atax", "interactive", 72.0, 72.0, 0.0, 72.0, 0.0,
-                        1.5111763210780578, 3.576399542033713,
-                        4.195903216174515, 1555.786167976833, 0.0, 1.0,
-                        8.0),
+            "tenant0": ("spmv", "batch", 148.0, 148.0, 0.0, 148.0, 0.0,
+                        1.0374339928863676, 1.9047852647715287,
+                        2.613426365380864, 3793.356373479183, 0.0, 1.0, 12.0),
+            "tenant1": ("histogram", "batch", 78.0, 78.0, 0.0, 78.0, 0.0,
+                        1.318125112309632, 2.257242179674818,
+                        2.416034169395565, 1999.2013319687585, 0.0, 1.0, 6.0),
+            "tenant2": ("atax", "interactive", 74.0, 74.0, 0.0, 74.0, 0.0,
+                        1.3497568588234103, 2.884326823340814,
+                        3.388638175401259, 1896.6781867395914, 0.0, 1.0, 8.0),
         },
-        (300.0, 300.0, 0.0, 300.0, 0.0, 0.0, 6482.442366570138, 1.0),
+        (300.0, 300.0, 0.0, 300.0, 0.0, 0.0, 7689.235892187532, 1.0),
     ),
 }
 
