@@ -45,9 +45,11 @@ correctness argument (see DESIGN.md, "Schedule-space fuzzing"):
 ``front-partition``
     Device-set partitioning: the worker fronts' claimed windows are
     pairwise disjoint across fronts, cover the flattened range exactly
-    once down to the lowest claimed start, and *redo* windows (failover
-    re-execution of a lost front's spans) only re-cover ranges some other
-    front had already claimed (§4, Fig. 7 generalized to N devices).
+    once down to the lowest claimed start, and *redo* windows only
+    re-cover ranges some other front had already claimed (§4, Fig. 7
+    generalized to N devices).  A redo window is any re-run of another
+    front's window: a failover leader's redo span, or a late window that
+    an idle front re-runs because its claimant has not landed it.
 ``clock-monotonicity``
     Observed event timestamps never decrease: the engine's integer-tick
     clock only moves forward, so the recorder stream is monotone in
@@ -117,7 +119,7 @@ class _KernelState:
     #: non-redo windows per worker front (device name), for the N-device
     #: partition invariant
     front_windows: Dict[str, List[tuple]] = field(default_factory=dict)
-    #: failover re-execution windows, checked against foreign coverage
+    #: re-runs of other fronts' windows, checked against foreign coverage
     redo_windows: List[tuple] = field(default_factory=list)
     #: last accepted status frontier
     frontier: int = 0
@@ -284,9 +286,10 @@ class CoherenceMonitor:
             event.ts, state.kernel_id,
         )
         if redo:
-            # Failover re-execution of a lost front's span: it does not
-            # continue the descending claim front, but it must re-cover
-            # only ranges some *other* front had already claimed.
+            # A re-run of another front's window (failover redo span or
+            # late window): it does not continue the descending claim
+            # front, but it must re-cover only ranges some *other* front
+            # had already claimed.
             if ok:
                 foreign = coalesce_windows(
                     w for d, ws in state.front_windows.items()

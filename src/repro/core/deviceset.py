@@ -19,6 +19,11 @@ of the contiguous landed suffix) is what worker fronts report to the
 anchor's status board.  With one worker the ledger degenerates to the
 classic single CPU frontier, event for event.
 
+A worker that finds nothing left to claim re-runs a *late window*: the
+top-most window of another front that has not landed yet.  Whichever
+shipment lands first covers the window and is credited with it, so one
+slow (or lost) front no longer freezes the frontier of the faster ones.
+
 On front loss the ledger enters failover: a surviving leader front drains
 the unclaimed floor and then *redo spans* — the windows claimed by every
 other front, whose results live in copies the leader cannot merge from —
@@ -107,7 +112,10 @@ class _Window:
     end: int
     front: int
     redo: bool = False
-    landed: bool = False
+    #: front whose shipment landed this window first (None until then)
+    landed_by: Optional[int] = None
+    #: for a late-window re-run, the index of the window it re-runs
+    rerun_of: Optional[int] = None
 
     @property
     def size(self) -> int:
@@ -124,6 +132,10 @@ class FrontLedger:
     shipped to the anchor; the committed frontier only advances over the
     contiguous landed suffix, which is exactly the §5.3 guarantee the
     status board needs (data always precedes status).
+
+    Late-window re-runs (:meth:`claim_late`) are not part of that
+    partition: each one names the claimed window it re-runs, and its
+    landing lands that window if no other shipment did first.
     """
 
     total: int
@@ -162,8 +174,29 @@ class FrontLedger:
                 self.redo_spans[-1] = (start, end - size)
         else:
             return None
+        return self._add(window)
+
+    def claim_late(self, front: int) -> Optional[_Window]:
+        """A late window for ``front`` to re-run whole, or ``None``.
+
+        Only once nothing is left to claim and outside failover: the
+        top-most window another front (lost or not) claimed that has not
+        landed, and that ``front`` has not re-run already.  Several fronts
+        may re-run the same window; the first landing covers it.
+        """
+        if self.claim_floor > 0 or self.redo_spans or self.leader is not None:
+            return None
+        rerun = {self.windows[i].rerun_of for i in self.by_front.get(front, ())}
+        for index, late in enumerate(self.windows):
+            if (late.rerun_of is None and late.front != front
+                    and late.landed_by is None and index not in rerun):
+                return self._add(_Window(late.start, late.end, front,
+                                         redo=True, rerun_of=index))
+        return None
+
+    def _add(self, window: _Window) -> _Window:
         self.windows.append(window)
-        self.by_front.setdefault(front, []).append(len(self.windows) - 1)
+        self.by_front.setdefault(window.front, []).append(len(self.windows) - 1)
         return window
 
     def remaining_for(self, front: int) -> int:
@@ -178,12 +211,29 @@ class FrontLedger:
         return len(self.by_front.get(front, ()))
 
     def mark_landed(self, front: int, upto: int) -> None:
-        """The first ``upto`` windows of ``front`` have reached the anchor."""
+        """The first ``upto`` windows of ``front`` have reached the anchor.
+
+        A re-run lands the window it re-runs.  The first landing of a
+        window credits its front; a later copy changes nothing.
+        """
         for index in self.by_front.get(front, ())[:upto]:
-            self.windows[index].landed = True
+            window = self._claimed(self.windows[index])
+            if window.landed_by is None:
+                window.landed_by = front
+        # Re-runs are never marked themselves and follow every claimed
+        # window, so the prefix stops at the first one.
         while (self._landed_prefix < len(self.windows)
-               and self.windows[self._landed_prefix].landed):
+               and self.windows[self._landed_prefix].landed_by is not None):
             self._landed_prefix += 1
+
+    def covered(self, window: _Window) -> bool:
+        """Whether ``window`` (or the window it re-runs) has landed."""
+        return self._claimed(window).landed_by is not None
+
+    def _claimed(self, window: _Window) -> _Window:
+        """The claimed window ``window`` stands for: itself, or the one
+        it re-runs."""
+        return window if window.rerun_of is None else self.windows[window.rerun_of]
 
     def committed_frontier(self) -> int:
         """Lowest start of the contiguous landed suffix (== classic frontier).
@@ -206,7 +256,8 @@ class FrontLedger:
         """
         self.leader = leader
         foreign = [
-            (w.start, w.end) for w in self.windows if w.front != leader
+            (w.start, w.end) for w in self.windows
+            if w.front != leader and w.rerun_of is None
         ]
         # Spans are drained top-first, so store them ascending and pop().
         self.redo_spans = coalesce_windows(foreign)
@@ -220,8 +271,16 @@ class FrontLedger:
                 seen.append(window.front)
         return seen
 
+    def _credit(self) -> List[Tuple[_Window, int]]:
+        """Each claimed window with the front credited for it: the front
+        whose shipment landed it, else (not landed yet) its claimant."""
+        return [
+            (w, w.front if w.landed_by is None else w.landed_by)
+            for w in self.windows if w.rerun_of is None
+        ]
+
     def credited_contributors(self, frontier: int) -> List[int]:
-        """Fronts owning a window at or above ``frontier``, ascending.
+        """Fronts credited with a window at or above ``frontier``, ascending.
 
         These are the fronts whose landing buffers contribute credited
         results to the merge: a window below the final board frontier was
@@ -229,25 +288,29 @@ class FrontLedger:
         overwrite anchor results with stale worker data.
         """
         return sorted({
-            w.front for w in self.windows if w.start >= frontier
+            front for w, front in self._credit() if w.start >= frontier
         })
 
     def groups_for(self, front: int) -> int:
-        """Total groups claimed by ``front`` (redo windows included)."""
+        """Total groups claimed by ``front`` (redo windows included, late
+        window re-runs not: they re-run another front's claim)."""
         return sum(
             self.windows[i].size for i in self.by_front.get(front, ())
+            if self.windows[i].rerun_of is None
         )
 
     def sole_contributor(self) -> Optional[int]:
-        """The one front holding the *entire* range, if any.
+        """The one front credited with the *entire* range, if any.
 
         Only meaningful when the whole range was claimed
         (``claim_floor == 0``): the classic "CPU finished everything"
         commit is only sound if a single front's copy holds every group.
+        A front that landed a window holds it, whoever claimed it, so a
+        re-run that loses the race never turns this commit into a merge.
         """
         if self.claim_floor != 0 or self.redo_spans:
             return None
-        owners = set(w.front for w in self.windows)
+        owners = {front for _w, front in self._credit()}
         if len(owners) == 1:
             return owners.pop()
         return None

@@ -119,14 +119,14 @@ class CpuScheduler:
         probe_chunk = -(-probe_chunk // cu) * cu
         while not self._gpu_finished():
             remaining = ledger.remaining_for(me)
-            if remaining <= 0:
-                break
             spec = profiler.next_version()
-            if profiler.probing:
-                chunk = min(probe_chunk, remaining)
+            if remaining <= 0:
+                # Nothing left to claim: re-run another front's late window.
+                window = ledger.claim_late(me)
+            elif profiler.probing:
+                window = ledger.claim(me, min(probe_chunk, remaining))
             else:
-                chunk = chunker.next_chunk(remaining)
-            window = ledger.claim(me, chunk)
+                window = ledger.claim(me, chunker.next_chunk(remaining))
             if window is None:
                 break
             start, end = window.start, window.end
@@ -197,7 +197,8 @@ class CpuScheduler:
 
             if not window.redo:
                 self.frontier = start
-            if not plan.board.finalized:
+            # A window another front already landed is not shipped again.
+            if not plan.board.finalized and not ledger.covered(window):
                 yield from self._send_results_and_status(start)
 
         self.completed_all = (

@@ -1,7 +1,8 @@
 """``python -m repro.harness trace``: run a workload, export its timeline.
 
 Runs one Polybench application under the FluidiCL runtime on a traced
-machine, then writes the typed event stream as Chrome-trace JSON (loadable
+machine (any ``MACHINE_PRESETS`` node, one Gantt lane per front), then
+writes the typed event stream as Chrome-trace JSON (loadable
 in ``chrome://tracing`` / Perfetto) and prints the ASCII Gantt plus the
 run's counters (``runtime.stats.extra``).  The JSON and the Gantt read
 the same :class:`~repro.obs.recorder.EventRecorder` stream.
@@ -18,6 +19,7 @@ from repro.faults import FaultKind, FaultSchedule
 from repro.harness.check_cli import bounded
 from repro.harness.runner import first_kernel_strike_time, measure_app
 from repro.harness.timeline import extract_spans, render_gantt
+from repro.hw.machine import MACHINE_PRESETS
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.events import EventKind
 from repro.polybench.suite import EXTENDED_SUITE, SCALES, make_app
@@ -74,6 +76,10 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         help="tiny run for CI: forces --scale test",
     )
     parser.add_argument(
+        "--machine", default="default", choices=sorted(MACHINE_PRESETS),
+        help="machine preset to run on (default: default)",
+    )
+    parser.add_argument(
         "--out", default=DEFAULT_TRACE_OUT, metavar="PATH",
         help=f"Chrome-trace JSON output path (default: {DEFAULT_TRACE_OUT})",
     )
@@ -99,10 +105,22 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--fault-device", default="gpu", choices=("gpu", "cpu"),
-        help="device the fault targets (default: gpu)",
+        "--fault-device", default="gpu", metavar="DEVICE",
+        help=(
+            "device the fault targets: gpu, cpu or a device name of the "
+            "--machine preset, e.g. 'Tesla C2070 #2' (default: gpu)"
+        ),
     )
     args = parser.parse_args(argv)
+    devices = ["gpu", "cpu"] + [
+        spec.name for spec, _link in MACHINE_PRESETS[args.machine]
+    ]
+    if args.fault_device not in devices:
+        parser.error(
+            f"argument --fault-device: invalid choice: "
+            f"{args.fault_device!r} (choose from "
+            f"{', '.join(map(repr, devices))})"
+        )
     scale = "test" if args.smoke else args.scale
     app = make_app(args.app, scale)
 
@@ -110,17 +128,19 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     if args.faults is not None:
         strike = args.fault_at
         if strike is None:
-            strike = first_kernel_strike_time(measure_app(app, check=False))
+            strike = first_kernel_strike_time(
+                measure_app(app, machine=args.machine, check=False))
         schedule = _build_fault_schedule(args.faults, strike, args.fault_device)
 
-    result, runtime, machine = measure_app(app, faults=schedule, trace=True)
+    result, runtime, machine = measure_app(app, machine=args.machine,
+                                           faults=schedule, trace=True)
     recorder = machine.tracer
     metrics = _collect_metrics(runtime)
     trace = write_chrome_trace(args.out, recorder,
                                process_name=f"fluidicl:{args.app}",
                                metrics=metrics)
 
-    print(f"== trace: {args.app} @ {scale} "
+    print(f"== trace: {args.app} @ {scale} on {args.machine} "
           f"({result.elapsed * 1e3:.2f} ms simulated, "
           f"correct={result.correct}) ==")
     if schedule is not None:
@@ -130,9 +150,9 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
             k: runtime.stats.extra[k]
             for k in ("faults_injected", "failovers", "watchdog_trips")
         }
-        resilience["transfer_retries"] = (
-            runtime.gpu_device.health.transfer_retries
-            + runtime.cpu_device.health.transfer_retries
+        resilience["transfer_retries"] = sum(
+            device.health.transfer_retries
+            for device in runtime.platform.devices
         )
         print(f"  resilience: {resilience}")
     for record in runtime.records:

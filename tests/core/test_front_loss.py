@@ -15,8 +15,11 @@ import pytest
 
 from repro.core.runtime import FluidiCLRuntime
 from repro.faults import FaultKind, FaultSchedule, FaultSpec, install_faults
+from repro.harness.runner import measure_app
 from repro.hw.machine import MACHINE_PRESETS, build_machine
+from repro.hw.specs import DeviceKind
 from repro.obs import EventKind
+from repro.ocl.runtime import SingleDeviceRuntime
 from repro.polybench.suite import EXTENDED_SUITE, make_app
 
 def midrun_strike(app_name, preset=None):
@@ -96,6 +99,33 @@ class TestNDeviceFrontLoss:
         assert len(runtime.device_set.survivors()) == 2
         assert_failovers_name(machine, lost=victim,
                               survivors=set(self.NAMES) - {victim})
+
+    def test_idle_front_reruns_the_lost_window(self):
+        """Tesla C2070 #2 dies under its only window of gesummv (small).
+        The CPU runs out of claims and re-runs that window, so the anchor
+        aborts instead of computing every group itself (40.75 ms)."""
+        victim, cpu = "Tesla C2070 #2", "Xeon W3550"
+        app = make_app("gesummv", "small", seed=1)
+        inputs = app.fresh_inputs()
+        gpu = measure_app(app, lambda m: SingleDeviceRuntime(m, DeviceKind.GPU),
+                          machine="cpu+2gpu", inputs=inputs, check=False)
+        loss = FaultSchedule.single(FaultKind.DEVICE_LOSS, at=5e-3,
+                                    device=victim)
+        run = measure_app(app, machine="cpu+2gpu", inputs=inputs,
+                          faults=loss, trace=True, check=False)
+
+        launches = run.machine.tracer.by_kind(EventKind.SUBKERNEL)
+        # its one window was launched before the loss and never finished
+        (lost,) = [e for e in launches if e["device"] == victim]
+        assert lost.ts < 5e-3
+        assert run.runtime.device_set.front_by_name(victim).lost
+        lo, hi = lost["fid_start"], lost["fid_end"]
+        assert any(e["device"] == cpu and e["redo"]
+                   and e["fid_start"] <= lo and hi <= e["fid_end"]
+                   for e in launches), "no re-run covers the lost window"
+        for key, want in gpu.result.outputs.items():
+            assert run.result.outputs[key].tobytes() == want.tobytes(), key
+        assert run.result.elapsed < 20e-3
 
     def test_losing_every_worker_leaves_anchor_alone(self):
         """Both non-anchor fronts die; the anchor carries the kernels."""

@@ -62,6 +62,38 @@ class TestTraceSubcommand:
         printed = capsys.readouterr().out
         assert "busy" not in printed  # Gantt rows end with "NN% busy"
 
+    def test_machine_preset_shows_every_front_lane(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.json"
+        assert main(["trace", "--smoke", "--app", "gesummv",
+                     "--machine", "cpu+2gpu", "--out", str(out_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "== trace: gesummv @ test on cpu+2gpu" in printed
+        # the anchor's lane and one lane per worker front
+        lanes = {line.split()[0] for line in printed.splitlines()
+                 if line.endswith("busy")}
+        assert {"fluidicl-app", "fluidicl-w1", "fluidicl-w2"} <= lanes
+
+    def test_fault_device_names_a_device_of_the_preset(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.json"
+        assert main(["trace", "--smoke", "--machine", "cpu+2gpu",
+                     "--faults", "device-loss",
+                     "--fault-device", "Tesla C2070 #2",
+                     "--out", str(out_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "Tesla C2070 #2" in printed and "transfer_retries" in printed
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--machine", "nosuch"], "'nosuch'"),
+        # a device of cpu+2gpu, but not of the default pair
+        (["--fault-device", "Tesla C2070 #2"], "'Tesla C2070 #2'"),
+    ])
+    def test_unknown_machine_or_device_is_a_usage_error(self, capsys, argv,
+                                                        named):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--smoke", *argv])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+
     def test_unknown_app_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["trace", "--app", "nosuch"])
