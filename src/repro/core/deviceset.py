@@ -263,14 +263,6 @@ class FrontLedger:
         self.redo_spans = coalesce_windows(foreign)
 
     # -- commit support -------------------------------------------------------
-    def contributors(self) -> List[int]:
-        """Fronts owning at least one window, in first-claim order."""
-        seen: List[int] = []
-        for window in self.windows:
-            if window.front not in seen:
-                seen.append(window.front)
-        return seen
-
     def _credit(self) -> List[Tuple[_Window, int]]:
         """Each claimed window with the front credited for it: the front
         whose shipment landed it, else (not landed yet) its claimant."""

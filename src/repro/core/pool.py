@@ -1,7 +1,7 @@
 """GPU-side helper-buffer pool (paper §6.1).
 
-FluidiCL needs, per out/inout buffer per kernel, three helpers on the
-anchor device.  Each lives only as long as its role:
+FluidiCL needs, per out/inout buffer per kernel, two kinds of helper on
+the anchor device.  Each lives only as long as its role:
 
 * a **pristine copy** of the original contents, for the merge diff: the
   host acquires it before it enqueues the anchor kernel, and it returns
@@ -9,11 +9,10 @@ anchor device.  Each lives only as long as its role:
 * a **landing area** per worker front for shipped results: that front's
   scheduler thread acquires it when it first ships the buffer (kernels
   that credit a worker nothing never allocate one), and it returns with
-  the pristine copies;
-* a **read-back staging copy**: the host acquires it right after it
-  enqueues the anchor kernel, so the allocation overlaps the kernel, and
-  the background read-back (§5.6) returns it — unused when the kernel
-  commits without a merge-and-read-back.
+  the pristine copies.
+
+The background read-back (§5.6) needs no helper: it reads the live
+anchor copy, and a later kernel that writes that copy waits for it.
 
 Creating and destroying these every kernel is expensive — the paper calls
 this out as the reason ATAX trails OracleSP slightly — so a pool reuses

@@ -80,8 +80,6 @@ class _KernelPlan:
     ledger: FrontLedger
     #: version each worker copy must reach before subkernels start (§5.3)
     required_cpu_versions: Dict[FluidiBuffer, int] = field(default_factory=dict)
-    #: read-back staging copies (§5.5), by arg name
-    readback: Dict[str, Buffer] = field(default_factory=dict)
 
     def front_args(self, spec: KernelSpec, index: int) -> Dict[str, Any]:
         return {
@@ -95,10 +93,13 @@ class _KernelPlan:
 class _PendingReadBack:
     """One buffer's §5.6 read-back until it issues its D2H copy.
 
-    A host read that serves the same version from the anchor meanwhile
-    sets ``read`` and, when it completes, ``data``: the anchor's contents
-    at that instant.  The dh thread then delivers ``data`` to the worker
-    copies instead of bringing the buffer down a second time (§6.2).
+    A read of the same version from the anchor may cover it meanwhile:
+    ``read`` is that read and ``data`` the anchor's contents it brought
+    down — a snapshot taken when a host read completes (the app owns its
+    array), or the runtime's own array when the host issued the read to
+    settle the read-back (:meth:`FluidiCLRuntime._settle_readback`).  The
+    dh thread then delivers ``data`` to the worker copies instead of
+    bringing the buffer down a second time (§6.2).
     """
 
     version: int
@@ -154,9 +155,12 @@ class FluidiCLRuntime(AbstractRuntime):
         #: completion events of merge/commit work in flight on ``app_queue``;
         #: :meth:`finish` and :meth:`drain` wait on (and then prune) these
         self._pending_commits: List[Any] = []
-        #: read-backs a host read may still cover, by buffer; an entry
-        #: leaves when its dh thread reaches that buffer
+        #: read-backs their dh thread has not reached yet, by buffer; a
+        #: covering read may serve one meanwhile, and an entry leaves when
+        #: its dh thread reaches it
         self._readbacks: Dict[FluidiBuffer, _PendingReadBack] = {}
+        #: the dh threads' own reads of the anchor copy still in flight
+        self._dh_reads: Dict[FluidiBuffer, Any] = {}
         # Every run counter, registered as zero so each name is present
         # (and exported) whether or not its event ever happens.
         self.stats.extra.update(
@@ -484,6 +488,7 @@ class FluidiCLRuntime(AbstractRuntime):
 
         self._refresh_gpu_inputs(arg_fbuffers)
         for fbuf in out_fbuffers:
+            self._settle_readback(fbuf)
             fbuf.expect_write(kernel_id)
 
         plan = self._prepare_plan(
@@ -502,10 +507,6 @@ class FluidiCLRuntime(AbstractRuntime):
         KernelWatchdog(self, self.gpu_device, plan.gpu_event.done,
                        self.config.watchdog_timeout,
                        label=f"kernel k{kernel_id}")
-        # Read-back staging copies (§5.5), allocated while the anchor
-        # kernel runs instead of after it.
-        for fbuf in out_fbuffers:
-            plan.readback[fbuf.name] = self._host_acquire(fbuf, "readback")
         self.machine.run_until(plan.gpu_event.done)
 
         if plan.gpu_event.cancelled:
@@ -560,6 +561,31 @@ class FluidiCLRuntime(AbstractRuntime):
             if value not in fbuffers:
                 fbuffers.append(value)
         return fbuffers
+
+    def _settle_readback(self, fbuf: FluidiBuffer) -> None:
+        """Bring ``fbuf``'s pending §5.6 read-back down before a kernel
+        overwrites the anchor copy it reads.
+
+        ``expect_write`` leaves ``latest`` unchanged until the kernel
+        commits, so the dh thread's version check cannot tell a copy the
+        new kernel already overwrote.  A read-back not yet issued is issued
+        here as a covering read (§6.2), so the data still comes down once;
+        it queues behind any read in flight on the in-order ``dh_queue``.
+        Otherwise a read in flight is waited for.  An unissued read-back
+        that a host write made stale is left to the dh thread, which
+        discards its data anyway.
+        """
+        pending = self._readbacks.get(fbuf)
+        if (pending is not None and pending.read is None
+                and pending.version == fbuf.latest):
+            pending.data = np.empty(fbuf.shape, dtype=fbuf.dtype)
+            pending.read = self.dh_queue.enqueue_read_buffer(fbuf.copies[0],
+                                                             pending.data)
+            read = pending.read
+        else:
+            read = self._dh_reads.get(fbuf)
+        if read is not None:
+            self.machine.run_until(read.done)
 
     def _fresh_worker_copy(self, fbuf: FluidiBuffer) -> Optional[int]:
         """Index of a current worker copy to refresh from (CPU path first)."""
@@ -767,7 +793,7 @@ class FluidiCLRuntime(AbstractRuntime):
             # release callback cannot be used because callbacks on a lost
             # device are themselves cancelled.
             self.machine.run_until(self.hd_queue.finish_event())
-            for buffer in self._helpers(plan) + list(plan.readback.values()):
+            for buffer in self._helpers(plan):
                 self.pool.release(buffer)
             return
 
@@ -795,9 +821,6 @@ class FluidiCLRuntime(AbstractRuntime):
         self.engine.trace("commit", kernel_id=plan.kernel_id,
                           path="cpu-complete",
                           buffers=[f.name for f in plan.out_fbuffers])
-        # No read-back follows: the committed copy is already on a worker.
-        for buffer in plan.readback.values():
-            self.pool.release(buffer)
         self._release_helpers_after_hd_drain(plan)
 
     def _merge_and_commit(self, plan: _KernelPlan) -> None:
@@ -812,13 +835,14 @@ class FluidiCLRuntime(AbstractRuntime):
         record = plan.record
         record.cpu_groups = plan.board.cpu_completed_groups
 
+        merges = []
         if plan.board.cpu_completed_groups > 0:
             contributors = plan.ledger.credited_contributors(
                 plan.board.frontier
             )
             for front_index in contributors:
                 for fbuf in plan.out_fbuffers:
-                    self._enqueue_merge(plan, fbuf, front_index)
+                    merges.append(self._enqueue_merge(plan, fbuf, front_index))
                     self.engine.trace(
                         "merge_enqueued", kernel_id=plan.kernel_id,
                         buffer=fbuf.name,
@@ -830,17 +854,16 @@ class FluidiCLRuntime(AbstractRuntime):
                 len(plan.out_fbuffers) * len(contributors)
             )
 
-        # Read-back staging copies so the next kernel can overwrite the live
-        # buffers while results stream to the host (§5.5).
-        for fbuf in plan.out_fbuffers:
-            self.app_queue.enqueue_copy_buffer(fbuf.copies[0],
-                                               plan.readback[fbuf.name])
-
         # The blocking kernel call returns once the merged result exists.
-        # The commit marker is also tracked in ``_pending_commits`` so that
-        # ``finish``/``drain`` account for merge work on ``app_queue`` even
-        # if a future path stops blocking here.
+        # The commit waits on the merges themselves, not only on a marker
+        # behind them: the marker can end in the same instant as the last
+        # merge, and same-instant reordering may process it first.  It is
+        # also tracked in ``_pending_commits`` so that ``finish``/``drain``
+        # account for merge work on ``app_queue`` even if a future path
+        # stops blocking here.
         commit_done = self.app_queue.finish_event()
+        if merges:
+            commit_done = self.engine.all_of([commit_done] + merges)
         self._pending_commits.append(commit_done)
         self.machine.run_until(commit_done)
         for fbuf in plan.out_fbuffers:
@@ -855,7 +878,9 @@ class FluidiCLRuntime(AbstractRuntime):
         self._release_helpers_after_hd_drain(plan)
 
     def _enqueue_merge(self, plan: _KernelPlan, fbuf: FluidiBuffer,
-                       front_index: int) -> None:
+                       front_index: int):
+        """Enqueue one front's diff+merge into ``fbuf``'s anchor copy;
+        returns its completion event."""
         count = int(np.prod(fbuf.shape, dtype=np.int64))
         merged_bytes: List[int] = []
         merge_spec = build_merge_kernel(fbuf.nbytes, fbuf.dtype.itemsize,
@@ -884,6 +909,7 @@ class FluidiCLRuntime(AbstractRuntime):
             )
 
         merge_event.done.add_callback(report)
+        return merge_event.done
 
     def _spawn_dh_thread(self, plan: _KernelPlan) -> None:
         """Device-to-host thread (§5.6), one per kernel, runs in background.
@@ -913,25 +939,29 @@ class FluidiCLRuntime(AbstractRuntime):
                 del self._readbacks[fbuf]
             data = None
             if readback.read is not None:
-                # A host read served this version from the anchor: deliver
-                # its data instead of a second D2H of the same bytes (§6.2).
+                # A covering read brought this version down from the
+                # anchor: deliver its data instead of a second D2H of the
+                # same bytes (§6.2).
                 yield readback.read.done
                 if not readback.read.cancelled:
                     data = readback.data
                     self.stats.extra["readbacks_covered"] += 1
             if data is None:
-                host_staging = np.empty(fbuf.shape, dtype=fbuf.dtype)
-                read_event = self.dh_queue.enqueue_read_buffer(
-                    plan.readback[fbuf.name], host_staging
-                )
-                yield read_event.done
-                if not read_event.cancelled:
-                    data = host_staging
-            self.pool.release(plan.readback[fbuf.name])
+                # Read the live anchor copy: a later kernel that writes it
+                # waits for this read first (:meth:`_settle_readback`).
+                host_array = np.empty(fbuf.shape, dtype=fbuf.dtype)
+                read = self.dh_queue.enqueue_read_buffer(fbuf.copies[0],
+                                                         host_array)
+                self._dh_reads[fbuf] = read
+                yield read.done
+                if self._dh_reads.get(fbuf) is read:
+                    del self._dh_reads[fbuf]
+                if not read.cancelled:
+                    data = host_array
             if data is None:
-                # Anchor died before the staging copy came down; the host
-                # array holds no data.  Abandon the delivery (and wake any
-                # §5.3 waiter so it can re-evaluate instead of hanging).
+                # Anchor died before the data came down; the host array
+                # holds none.  Abandon the delivery (and wake any §5.3
+                # waiter so it can re-evaluate instead of hanging).
                 self._abandon_dh_delivery(kernel_id, fbuf)
             elif fbuf.latest == kernel_id:
                 delivered_all = True

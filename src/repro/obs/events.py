@@ -14,7 +14,8 @@ kind              meaning
 ``merge``         a diff+merge kernel enqueued for one out-buffer (§4.2)
 ``gpu_refresh``   a stale GPU input copy refreshed from the CPU (§6.2)
 ``dh_readback``   the background device-to-host thread of one kernel
-                  (§5.6): begin at spawn, end when all staging data landed
+                  (§5.6): begin at spawn, end when every out-buffer's
+                  read-back was delivered to the workers or discarded
 ``stale_discard`` late data discarded by version tracking (§5.3)
 ``pool``          helper-buffer pool traffic (§6.1): a hit is an instant,
                   a miss an ``alloc`` span on the track of the thread it

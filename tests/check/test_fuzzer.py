@@ -87,6 +87,17 @@ class TestRunConfig:
         assert result.violations == []
         assert result.correct is True
 
+    def test_commit_waits_for_its_merges_under_jitter(self):
+        """Shrunk from default seed 43: the marker behind the last merge
+        ends in the same instant as that merge, and the jitter processed
+        it first, so ``commit`` was traced before ``merge_done``."""
+        result = run_config(FuzzConfig(seed=43, app="bicg", size=128,
+                                       gpu_scale=0.367,
+                                       jitter_seed=1976765125))
+        assert result.outcome == "ok"
+        assert result.violations == []
+        assert result.correct is True
+
     def test_device_loss_is_an_accepted_outcome(self):
         from repro.faults import FaultKind, FaultSpec
         config = FuzzConfig(

@@ -3,8 +3,9 @@
 Helper allocation (§6.1) and the §5.6 read-back used to add to every
 cooperative kernel: the host allocated every helper before it launched
 the anchor kernel and again after it ended, a per-kernel pool trim made
-bfs allocate the same helpers at every level, and ``finish()`` waited for
-a second device-to-host copy of data the host had already read.  These
+bfs allocate the same helpers at every level, ``finish()`` waited for
+a second device-to-host copy of data the host had already read, and
+every read-back first copied its buffer into a staging helper.  These
 tests pin each mechanism that took those costs away.
 """
 
@@ -20,7 +21,7 @@ from repro.ocl.health import DeviceLostError
 from repro.ocl.ndrange import NDRange
 from repro.polybench import make_app
 
-from tests.conftest import make_scale_kernel
+from tests.conftest import make_accumulate_kernel, make_scale_kernel
 
 
 def _gemm(faults=None):
@@ -71,15 +72,53 @@ class TestLandingAreas:
             "runtime"}
 
 
-class TestStagingOverlapsTheAnchor:
-    def test_staging_is_allocated_while_the_anchor_runs(self):
-        run = measure_app(make_app("gemm", "small", seed=1), trace=True)
-        tracer = run.machine.tracer
-        (staging,) = [s for s in tracer.event_spans(EventKind.POOL)
-                      if s.attrs["label"] == "readback"]
-        record = run.runtime.records[0]
-        assert record.start_time <= staging.start
-        assert staging.end < record.gpu_span[1]
+class TestReadBackReadsTheLiveCopy:
+    @pytest.mark.parametrize("name", ["gemm", "bfs"])
+    def test_no_read_back_helper(self, name):
+        run = measure_app(make_app(name, "small", seed=1), trace=True)
+        labels = {e["label"] for e in run.machine.tracer.by_kind(EventKind.POOL)}
+        assert labels and "readback" not in labels
+
+    def test_scan_blocks_only_on_pristine_copies(self):
+        """scan's host took 5 misses with a staging helper per read-back;
+        the 2 pristine-copy misses are all that remain."""
+        run = measure_app(make_app("scan", "small", seed=1), trace=True)
+        allocs = run.machine.tracer.event_spans(EventKind.POOL)
+        assert [(s.attrs["label"], s.track) for s in allocs] == [
+            ("orig", "runtime"), ("orig", "runtime")]
+
+    def test_a_later_writer_waits_for_the_read_back(self):
+        """Two back-to-back kernels accumulate into ``y``.  The second
+        overwrites the anchor copy that the first one's read-back reads,
+        so its pristine copy, the first command it enqueues, starts only
+        once that D2H has ended."""
+        machine = build_machine(trace=True)
+        runtime = FluidiCLRuntime(machine)
+        n = 4096
+        spec = make_accumulate_kernel(n)
+        x = runtime.create_buffer("x", (n,), np.float32)
+        y = runtime.create_buffer("y", (n,), np.float32)
+        runtime.enqueue_write_buffer(x, np.ones(n, dtype=np.float32))
+        runtime.enqueue_write_buffer(y, np.zeros(n, dtype=np.float32))
+        args = {"x": x, "y": y}
+        first = runtime.enqueue_nd_range_kernel(spec, NDRange(n, 16), args)
+        runtime.enqueue_nd_range_kernel(spec, NDRange(n, 16), args)
+        runtime.drain()
+        spans = machine.tracer.command_spans()
+        readback = min(
+            (s for s in spans if s.track == "fluidicl-dh"
+             and s.attrs["type"] == "read_buffer"),
+            key=lambda s: s.start)
+        pristine = sorted(
+            (s for s in spans if s.track == "fluidicl-app"
+             and s.attrs["type"] == "copy_buffer"),
+            key=lambda s: s.start)
+        assert len(pristine) == 2
+        assert first.end_time <= readback.start
+        assert readback.end <= pristine[1].start
+        out = np.empty(n, dtype=np.float32)
+        runtime.enqueue_read_buffer(y, out)
+        assert np.array_equal(out, np.full(n, 2.0, np.float32))
 
 
 class TestHostReadCoversTheReadBack:
@@ -98,7 +137,7 @@ class TestHostReadCoversTheReadBack:
         # The worker copy still receives the result, bit for bit.
         assert fbuf.current(1)
         assert np.array_equal(fbuf.copies[1].view, outputs["C"])
-        assert runtime._readbacks == {}
+        assert runtime._readbacks == {} and runtime._dh_reads == {}
 
     def test_without_a_host_read_the_read_back_copies_down(self):
         runtime = FluidiCLRuntime(build_machine())
@@ -115,9 +154,9 @@ class TestHostReadCoversTheReadBack:
         assert runtime.gpu_device.stats["bytes_d2h"] == y.nbytes
         assert y.current(1)
         assert np.array_equal(y.copies[1].view, np.full(n, 2.0, np.float32))
-        assert runtime._readbacks == {}
+        assert runtime._readbacks == {} and runtime._dh_reads == {}
 
-    def test_cancelled_host_read_falls_back_to_the_staging_copy(self):
+    def test_cancelled_host_read_falls_back_to_a_read_of_the_anchor(self):
         """The anchor dies between the kernel's commit and the covering
         host read: the read is cancelled, the dh thread falls back to its
         own (equally doomed) D2H, and the §5.3 waiters learn that the data
@@ -139,4 +178,4 @@ class TestHostReadCoversTheReadBack:
         assert runtime.stats.extra["readbacks_covered"] == 0
         assert not fbuf.dh_pending_for(1)
         assert not fbuf.current(1)
-        assert runtime._readbacks == {}
+        assert runtime._readbacks == {} and runtime._dh_reads == {}

@@ -41,12 +41,11 @@ class TestFrontLedgerClaims:
         with pytest.raises(ValueError):
             ledger.claim(1, 0)
 
-    def test_contributors_in_first_claim_order(self):
+    def test_groups_for_sums_each_fronts_claims(self):
         ledger = FrontLedger(total=100)
         ledger.claim(2, 10)
         ledger.claim(1, 10)
         ledger.claim(2, 10)
-        assert ledger.contributors() == [2, 1]
         assert ledger.groups_for(2) == 20
         assert ledger.groups_for(1) == 10
         assert ledger.groups_for(3) == 0

@@ -104,5 +104,5 @@ class TestResourceExhaustion:
             )
         runtime.finish()
         runtime.drain()
-        # landing + orig + readback per kernel, but pooled: a handful at most.
+        # landing + orig per kernel, but pooled: a handful at most.
         assert runtime.pool.idle_count + runtime.pool.in_use_count <= 8

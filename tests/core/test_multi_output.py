@@ -1,6 +1,6 @@
 """Kernels with multiple output buffers and rank-3 NDRanges under FluidiCL.
 
-Every out/inout buffer gets its own landing/orig/readback helpers and its
+Every out/inout buffer gets its own landing/orig helpers and its
 own merge; these tests make sure nothing assumes "exactly one output".
 """
 
@@ -80,7 +80,7 @@ class TestTwoOutputs:
 
     def test_helper_buffers_recycled_for_all_outputs(self):
         runtime, _x, _lo, _hi = self._run(0.4, 0.6)
-        # landing + orig + readback per output, all returned to the pool.
+        # landing + orig per output, all returned to the pool.
         assert runtime.pool.in_use_count == 0
 
 

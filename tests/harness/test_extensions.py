@@ -1,5 +1,6 @@
 """Structural tests of the extension experiments (small/test scale)."""
 
+import numpy as np
 import pytest
 
 from repro.harness.extensions import (
@@ -70,6 +71,25 @@ class TestExtensionExperiments:
         assert [row[0] for row in result.rows] == [
             "atax", "mvt", "gemm", "3mm", "spmv", "histogram", "bfs", "scan",
         ]
+
+    def test_fault_table_requires_bitwise_equal_outputs(self, monkeypatch):
+        """A faulted run one ulp off the fault-free GPU run, well inside
+        the NumPy reference's tolerance, raises instead of giving a row."""
+        from repro.harness import extensions
+
+        real = extensions.measure_app
+
+        def nudged(app, *args, faults=None, **kwargs):
+            run = real(app, *args, faults=faults, **kwargs)
+            if faults is not None:
+                for out in run.result.outputs.values():
+                    flat = out.reshape(-1)
+                    flat[0] = np.nextafter(flat[0], np.inf)
+            return run
+
+        monkeypatch.setattr(extensions, "measure_app", nudged)
+        with pytest.raises(AssertionError, match="single-device GPU run"):
+            extensions.fault_resilience(benchmarks=("syrk",))
 
     def test_phi_what_if_runs_and_is_correct(self):
         result = what_if_xeon_phi(scale="test", benchmarks=("syrk",))

@@ -115,34 +115,40 @@ PINNED = {
              max_queue_depth=32, max_inflight=2, fault_seed=2, fault_n=3),
         {
             "tenant0": ("bicg", "interactive", 162.0, 124.0, 38.0, 124.0, 0.0,
-                        16.98372850714301, 25.00015934164353,
-                        25.43745606124317, 1305.344504367982,
-                        0.2345679012345679, 0.5483870967741935, 32.0),
+                        15.50706776161401, 21.693627429939152,
+                        22.025638994354612,
+                        1495.8637904010068, 0.2345679012345679,
+                        0.5967741935483871, 32.0),
             "tenant1": ("gesummv", "interactive", 62.0, 62.0, 0.0, 42.0, 20.0,
-                        6.632530683376662, 13.04976110977114,
-                        15.774291951405338, 442.13281599560673, 0.0, 1.0, 19.0),
+                        6.118209451674006, 11.954215588550293,
+                        14.434958180843253,
+                        506.6635419100184, 0.0, 1.0, 19.0),
             "tenant2": ("scan", "batch", 76.0, 76.0, 0.0, 76.0, 0.0,
-                        23.479040144928756, 37.848678874615146,
-                        39.523241932825755, 800.0498575158598, 0.0, 1.0, 30.0),
+                        21.45628986934689, 31.790813013266117,
+                        33.091404489057055,
+                        916.8197425038428, 0.0, 1.0, 30.0),
         },
         (300.0, 262.0, 38.0, 242.0, 20.0, 0.12666666666666668,
-         2547.5271778794486, 0.768595041322314),
+         2919.347074814868, 0.7933884297520661),
     ),
     "closed-loop": (
         dict(seed=2, requests=300, n_tenants=3, arrival="closed",
              clients=24, utilization=1.5),
         {
-            "tenant0": ("spmv", "batch", 148.0, 148.0, 0.0, 148.0, 0.0,
-                        1.0374339928863676, 1.9047852647715287,
-                        2.613426365380864, 3793.356373479183, 0.0, 1.0, 12.0),
+            "tenant0": ("spmv", "batch", 149.0, 149.0, 0.0, 149.0, 0.0,
+                        0.9957280451526991, 1.8434315234764853,
+                        2.545307154172209,
+                        3892.692063970398, 0.0, 1.0, 12.0),
             "tenant1": ("histogram", "batch", 78.0, 78.0, 0.0, 78.0, 0.0,
-                        1.318125112309632, 2.257242179674818,
-                        2.416034169395565, 1999.2013319687585, 0.0, 1.0, 6.0),
-            "tenant2": ("atax", "interactive", 74.0, 74.0, 0.0, 74.0, 0.0,
-                        1.3497568588234103, 2.884326823340814,
-                        3.388638175401259, 1896.6781867395914, 0.0, 1.0, 8.0),
+                        1.140022466947652, 3.028919105903715,
+                        3.406843027266521,
+                        2037.7851073133627, 0.0, 1.0, 7.0),
+            "tenant2": ("atax", "interactive", 73.0, 73.0, 0.0, 73.0, 0.0,
+                        1.2479258217255684, 2.8332128557595104,
+                        3.297831523419349,
+                        1907.1578568445575, 0.0, 1.0, 8.0),
         },
-        (300.0, 300.0, 0.0, 300.0, 0.0, 0.0, 7689.235892187532, 1.0),
+        (300.0, 300.0, 0.0, 300.0, 0.0, 0.0, 7837.6350281283185, 1.0),
     ),
 }
 
