@@ -49,7 +49,7 @@ def main() -> None:
                   f"  ({record.cpu_share:.0%})")
             print(f"    CPU subkernels launched:     {record.subkernels}"
                   f"  (chunks: {record.chunks})")
-            print(f"    data merge on GPU:           {record.merged}")
+            print(f"    commit path:                 {record.path}")
 
     best_single = min(times["GPU only"], times["CPU only"])
     print(f"\n  FluidiCL vs best single device: "

@@ -54,17 +54,15 @@ class FluidiBuffer:
         self.gates: List[Gate] = [
             Gate(engine, name=f"ver{i}:{name}") for i in range(len(copies))
         ]
-        #: per-copy flag set while a device-to-host transfer is in flight
+        #: per-copy flag set while the §5.6 read-back of an anchor commit
+        #: is on its way to a worker copy
         self._dh_pending: List[bool] = [False] * len(copies)
-        #: completion event of the last host/DH write targeting each copy;
-        #: reads issued on the separate per-front I/O queues synchronize
-        self.last_writes: List[object] = [None] * len(copies)
-        #: completion event of the last *subkernel* (or merge) that writes
-        #: each copy.  Kernels run on in-order compute queues but host reads
-        #: travel on I/O queues, so without an explicit dependency a read
-        #: could observe a half-written copy while a (possibly stale)
-        #: kernel is still executing (§5.3).
-        self.last_kernel_writes: List[object] = [None] * len(copies)
+        #: the command that last wrote each copy.  Every writer of copy
+        #: ``i`` (host writes, refreshes, read-back deliveries, subkernels,
+        #: merges) is enqueued on that copy's one in-order queue, so the
+        #: last one enqueued is the last to finish.  Reads of a copy travel
+        #: on other queues and wait for it first (§5.3).
+        self.last_write: List[object] = [None] * len(copies)
 
     # -- per-copy access ------------------------------------------------------
     def version_of(self, index: int) -> int:
@@ -79,34 +77,16 @@ class FluidiBuffer:
     def dh_pending_for(self, index: int) -> bool:
         return self._dh_pending[index]
 
-    def set_dh_pending(self, index: int, value: bool) -> None:
-        self._dh_pending[index] = value
+    def record_write(self, index: int, event) -> None:
+        """``event`` is now the last writer enqueued for copy ``index``."""
+        self.last_write[index] = event
 
-    def record_host_write(self, index: int, event) -> None:
-        """Track the in-flight host/DH write to copy ``index``."""
-        self.last_writes[index] = event
-
-    def record_kernel_write(self, index: int, event) -> None:
-        """Track the in-flight kernel (subkernel/merge) write to ``index``."""
-        self.last_kernel_writes[index] = event
-
-    def quiesce_events(self, index: int):
-        """Events a copy reader must wait on before touching copy ``index``.
-
-        The common case — both writers already complete — allocates
-        nothing; readers hit this per host read and per anchor input
-        refresh.
-        """
-        first = self.last_writes[index]
-        if first is not None and not first.is_complete:
-            second = self.last_kernel_writes[index]
-            if second is not None and not second.is_complete:
-                return [first.done, second.done]
-            return [first.done]
-        second = self.last_kernel_writes[index]
-        if second is not None and not second.is_complete:
-            return [second.done]
-        return ()
+    def pending_write(self, index: int):
+        """Completion of copy ``index``'s last writer, if still in flight."""
+        event = self.last_write[index]
+        if event is None or event.is_complete:
+            return None
+        return event.done
 
     # -- geometry -------------------------------------------------------------
     @property
@@ -152,13 +132,16 @@ class FluidiBuffer:
         """Copy ``index`` holds the complete committed result of ``kernel_id``.
 
         Every other copy is marked DIRTY; a worker copy fires its gate so
-        scheduler threads waiting on the new version wake up.
+        scheduler threads waiting on the new version wake up.  An anchor
+        commit leaves every worker copy waiting for its §5.6 read-back.
         """
         self.latest = kernel_id
         for i in range(len(self.versions)):
             self.versions[i] = kernel_id if i == index else DIRTY
         if index != 0:
             self.gates[index].fire(kernel_id)
+        else:
+            self._dh_pending[1:] = [True] * (len(self.copies) - 1)
 
     def mark_refreshed(self, index: int, version: int) -> None:
         """A device-to-host transfer delivered ``version`` to copy ``index``."""
@@ -166,6 +149,15 @@ class FluidiBuffer:
         self._dh_pending[index] = False
         if index != 0:
             self.gates[index].fire(version)
+
+    def abandon_readback(self, index: int) -> None:
+        """The read-back to worker copy ``index`` will not arrive.
+
+        Wakes the copy's §5.3 waiters: they see the flag cleared with the
+        version unchanged and react (failover data-loss detection).
+        """
+        self._dh_pending[index] = False
+        self.gates[index].fire(self.versions[index])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.chunking import AdaptiveChunker
 from repro.core.offsets import subkernel_slice
+from repro.core.profiling_opt import OnlineKernelProfiler
 from repro.kernels.transforms import cpu_subkernel_variant
 from repro.ocl.executor import LaunchConfig
 from repro.ocl.kernel import Kernel
@@ -42,6 +43,9 @@ class CpuScheduler:
         #: True when this scheduler owns the profiler choice reported for
         #: the kernel (the CPU-path front's scheduler)
         self.primary = self.front is runtime.primary_front
+        #: this front's §6.6 version choice for the kernel
+        self.profiler = OnlineKernelProfiler(
+            plan.specs, enabled=runtime.config.online_profiling)
         #: lowest flattened group ID this front has *executed* down to
         #: (the shared claim floor after this front's latest claim)
         self.frontier = plan.ndrange.total_groups
@@ -78,12 +82,7 @@ class CpuScheduler:
         gpu_done = plan.gpu_event.done
         me = self.front.index
         ledger = plan.ledger
-        profiler = plan.profilers[me]
-
-        # Set before any exit path: anchor-dominant kernels can finish
-        # during the version wait below, and downstream reporting reads
-        # this field unconditionally.
-        plan.record.version_used = profiler.versions[0].version
+        profiler = self.profiler
 
         yield engine.timeout(runtime.machine.host.thread_spawn_overhead)
 
@@ -155,7 +154,7 @@ class CpuScheduler:
             # they must synchronize on this (possibly stale) subkernel's
             # writes.
             for fbuf in plan.out_fbuffers:
-                fbuf.record_kernel_write(me, event)
+                fbuf.record_write(me, event)
             if engine.tracer is not None:
                 engine.trace(
                     "subkernel_launch", kernel=spec.name,
@@ -204,11 +203,6 @@ class CpuScheduler:
         self.completed_all = (
             not self.front_lost and ledger.remaining_for(me) == 0
         )
-        if self.primary or plan.record.version_used is None:
-            plan.record.version_used = (
-                profiler.chosen.version if profiler.chosen is not None
-                else profiler.versions[0].version
-            )
 
     # ------------------------------------------------------------------
     def rearm_for_failover(self) -> None:

@@ -25,14 +25,14 @@ class KernelRecord:
     chunks: List[int] = field(default_factory=list)
     #: groups launched beyond the useful windows by covering slices (§5.2)
     surplus_groups: int = 0
-    #: True when the CPU finished the whole NDRange first (§4.2)
-    cpu_completed_all: bool = False
-    #: True when the data-merge step ran on the GPU
-    merged: bool = False
-    #: kernel version picked by online profiling, if any
+    #: how the kernel committed: ``gpu-only`` (the anchor's copy as is),
+    #: ``merged`` (worker results merged into the anchor's copy),
+    #: ``cpu-complete`` (a worker front finished the whole NDRange first,
+    #: §4.2) or ``failover`` (the anchor was lost and a survivor completed
+    #: the range)
+    path: str = "gpu-only"
+    #: kernel version the CPU-path front ran, as picked by online profiling
     version_used: Optional[str] = None
-    #: True when a device was lost and the survivor completed the range
-    failover: bool = False
     start_time: float = 0.0
     end_time: float = 0.0
     #: (start, end) of the GPU-side kernel command
@@ -66,6 +66,6 @@ class KernelRecord:
             f"kernel {self.kernel_id} {self.name!r}: {self.total_groups} groups, "
             f"gpu={self.gpu_groups} cpu={self.cpu_groups} "
             f"({self.cpu_share:.0%} cpu), {self.subkernels} subkernels, "
-            f"{'cpu-complete' if self.cpu_completed_all else 'merged' if self.merged else 'gpu-only'}, "
+            f"{self.path}, "
             f"{self.duration * 1e3:.2f} ms"
         )

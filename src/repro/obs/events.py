@@ -12,7 +12,8 @@ kind              meaning
 ``subkernel``     one CPU subkernel launch over a flattened window (§5.1)
 ``status``        a CPU-completion status message delivered to the GPU
 ``merge``         a diff+merge kernel enqueued for one out-buffer (§4.2)
-``gpu_refresh``   a stale GPU input copy refreshed from the CPU (§6.2)
+``refresh``       a stale device copy refreshed from a current one before
+                  a launch (§6.2), with the refreshed ``device``
 ``dh_readback``   the background device-to-host thread of one kernel
                   (§5.6): begin at spawn, end when every out-buffer's
                   read-back was delivered to the workers or discarded
@@ -22,7 +23,7 @@ kind              meaning
                   blocks (``runtime`` or a worker's scheduler)
 ``buffer_write``  a host ``clEnqueueWriteBuffer`` committing a new version
 ``buffer_read``   a host ``clEnqueueReadBuffer`` with its source device
-``commit``        a kernel committing its out-buffers (cpu/gpu path)
+``commit``        a kernel committing its out-buffers, with its ``path``
 ``fault``         an injected fault striking, or a transfer being retried
 ``failover``      the watchdog degrading a device / the runtime completing
                   a kernel on the surviving device
@@ -51,7 +52,7 @@ class EventKind(str, enum.Enum):
     SUBKERNEL = "subkernel"
     STATUS = "status"
     MERGE = "merge"
-    GPU_REFRESH = "gpu_refresh"
+    REFRESH = "refresh"
     DH_READBACK = "dh_readback"
     STALE_DISCARD = "stale_discard"
     POOL = "pool"

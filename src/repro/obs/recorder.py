@@ -42,7 +42,7 @@ _CATEGORIES: Dict[str, Tuple[EventKind, Phase, str]] = {
     "status_delivery": (EventKind.STATUS, Phase.INSTANT, "hd"),
     "merge_enqueued": (EventKind.MERGE, Phase.INSTANT, "runtime"),
     "merge_done": (EventKind.MERGE, Phase.INSTANT, "runtime"),
-    "gpu_input_refresh": (EventKind.GPU_REFRESH, Phase.INSTANT, "runtime"),
+    "input_refresh": (EventKind.REFRESH, Phase.INSTANT, "runtime"),
     "dh_readback_begin": (EventKind.DH_READBACK, Phase.BEGIN, "dh-thread"),
     "dh_readback_end": (EventKind.DH_READBACK, Phase.END, "dh-thread"),
     "stale_dh_discard": (EventKind.STALE_DISCARD, Phase.INSTANT, "dh-thread"),

@@ -24,12 +24,13 @@ def run_3mm_traced():
     result = app.execute(runtime, check=True)
     runtime.drain()
     monitor.final_check()
-    return machine.tracer, monitor, result
+    return machine.tracer, monitor, result, runtime
 
 
 class TestThreeKernelChain:
     def setup_method(self):
-        self.recorder, self.monitor, self.result = run_3mm_traced()
+        (self.recorder, self.monitor, self.result,
+         self.runtime) = run_3mm_traced()
         self.events = self.recorder.events
 
     def of(self, category):
@@ -54,15 +55,21 @@ class TestThreeKernelChain:
         assert written == {"A", "B", "C", "D"}
 
     def test_no_redundant_gpu_refresh_of_current_buffers(self):
-        """A gpu_input_refresh re-uploads CPU data to the GPU; it is only
-        justified for buffers whose last commit left the GPU copy stale
-        (cpu-complete / failover paths)."""
+        """An input_refresh of the anchor re-uploads CPU data to the GPU;
+        it is only justified for buffers whose last commit left the GPU
+        copy stale (cpu-complete / failover paths)."""
+        refreshes = self.of("input_refresh")
+        # every refresh the runtime counts is traced under this name
+        assert len(refreshes) == self.runtime.stats.extra["input_refreshes"]
         cpu_side_paths = ("cpu-complete", "failover")
         commit_path = {}
         for commit in self.of("commit"):
             for name in commit["buffers"]:
                 commit_path[name] = commit["path"]
-        for refresh in self.of("gpu_input_refresh"):
+        anchor = self.runtime.gpu_device.name
+        for refresh in refreshes:
+            if refresh["device"] != anchor:
+                continue
             name = refresh["buffer"]
             assert commit_path.get(name) in cpu_side_paths, (
                 f"redundant refresh of {name!r}: GPU copy was already "
@@ -90,7 +97,7 @@ class TestThreeKernelChain:
 
 class TestChainNumerics:
     def test_outputs_match_reference(self):
-        _, _, result = run_3mm_traced()
+        _, _, result, _ = run_3mm_traced()
         app = make_app("3mm", scale="test")
         inputs = app.fresh_inputs()
         expected = app.reference(inputs)

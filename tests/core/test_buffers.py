@@ -56,7 +56,7 @@ class TestLifecycle:
     def test_dh_refresh_restores_cpu(self, fbuf):
         fbuf.expect_write(4)
         fbuf.commit_front(GPU, 4)
-        fbuf.set_dh_pending(CPU, True)
+        assert fbuf.dh_pending_for(CPU)  # an anchor commit awaits read-back
         fbuf.mark_refreshed(CPU, 4)
         assert fbuf.current(CPU)
         assert not fbuf.dh_pending_for(CPU)

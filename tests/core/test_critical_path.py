@@ -148,7 +148,7 @@ class TestHostReadCoversTheReadBack:
         record = runtime.enqueue_nd_range_kernel(
             make_scale_kernel(n, gpu_eff=0.9, cpu_eff=0.05, work_scale=32.0),
             NDRange(n, 16), {"x": x, "y": y, "alpha": 2.0})
-        assert not record.cpu_completed_all
+        assert record.path in ("gpu-only", "merged")
         runtime.drain()
         assert runtime.stats.extra["readbacks_covered"] == 0
         assert runtime.gpu_device.stats["bytes_d2h"] == y.nbytes

@@ -30,7 +30,7 @@ class TestRegimes:
         record = runtime.records[0]
         assert record.gpu_groups > 0
         assert record.cpu_groups > 0
-        assert record.merged
+        assert record.path == "merged"
 
     def test_gpu_dominant_kernel(self):
         runtime, y, expected = run_fluidicl_scale(
@@ -39,7 +39,7 @@ class TestRegimes:
         assert np.allclose(y, expected)
         record = runtime.records[0]
         assert record.gpu_groups > record.cpu_groups
-        assert not record.cpu_completed_all
+        assert record.path in ("gpu-only", "merged")
 
     def test_cpu_dominant_kernel_completes_on_cpu(self):
         runtime, y, expected = run_fluidicl_scale(
@@ -47,9 +47,8 @@ class TestRegimes:
         )
         assert np.allclose(y, expected)
         record = runtime.records[0]
-        assert record.cpu_completed_all
+        assert record.path == "cpu-complete"
         assert record.cpu_groups == record.total_groups
-        assert not record.merged
 
     def test_work_accounting_covers_range(self):
         runtime, _y, _e = run_fluidicl_scale(n=4096, gpu_eff=0.5, cpu_eff=0.5)
@@ -131,7 +130,8 @@ class TestMultiKernelChains:
         kernel must transparently refresh it (version tracking)."""
         runtime, out, expected = self._chain([(0.005, 0.9), (0.9, 0.05)])
         assert np.allclose(out, expected)
-        assert runtime.stats.extra["gpu_input_refreshes"] >= 1
+        # one worker, the refresh source: every refresh is the anchor's
+        assert runtime.stats.extra["input_refreshes"] >= 1
 
     def test_cpu_then_cpu(self):
         _rt, out, expected = self._chain([(0.005, 0.9), (0.005, 0.9)])

@@ -75,7 +75,7 @@ class TestTwoOutputs:
     def test_merged_path_merges_every_output(self):
         runtime, _x, _lo, _hi = self._run(0.4, 0.6)
         record = runtime.records[0]
-        if record.merged:
+        if record.path == "merged":
             assert runtime.stats.extra["merges"] == 2
 
     def test_helper_buffers_recycled_for_all_outputs(self):

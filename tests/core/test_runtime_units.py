@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.buffers import DIRTY
+from repro.core.buffers import DIRTY, FluidiBuffer
 from repro.core.config import FluidiCLConfig
 from repro.core.runtime import FluidiCLRuntime
 from repro.hw.machine import build_machine
 from repro.kernels.transforms import cpu_subkernel_variant
 from repro.obs import EventKind
+from repro.ocl.enums import CommandType
 from repro.ocl.executor import LaunchConfig
 from repro.ocl.kernel import Kernel
 from repro.ocl.ndrange import NDRange
@@ -113,7 +114,7 @@ class TestMergeDecisions:
         launch(runtime, spec, n, bufs)
         runtime.finish()
         record = runtime.records[0]
-        assert not record.merged
+        assert record.path == "gpu-only"
         assert record.cpu_groups == 0
 
     def test_merge_count_tracks_out_buffers(self):
@@ -128,7 +129,7 @@ class TestMergeDecisions:
         runtime.enqueue_write_buffer(bufs[0], np.ones(n, dtype=np.float32))
         launch(runtime, spec, n, bufs)
         runtime.finish()
-        assert runtime.records[0].merged
+        assert runtime.records[0].path == "merged"
         assert runtime.stats.extra["merges"] == 1
 
 
@@ -214,7 +215,7 @@ class TestCpuReadSynchronization:
             LaunchConfig(fid_start=0, fid_end=ndrange.total_groups,
                          kernel_id=99),
         )
-        y.record_kernel_write(cpu.index, event)
+        y.record_write(cpu.index, event)
         assert not event.is_complete
         out = np.empty(n, dtype=np.float32)
         runtime.enqueue_read_buffer(y, out)
@@ -224,18 +225,27 @@ class TestCpuReadSynchronization:
         assert np.all(out == 3.0)
         runtime.drain()
 
-    def test_scheduler_registers_subkernel_write_events(self):
-        """Cooperative runs leave the last subkernel write on the buffer."""
+    def test_scheduler_registers_subkernel_write_events(self, monkeypatch):
+        """Cooperative runs record each subkernel as its copy's writer."""
+        recorded = []
+        record_write = FluidiBuffer.record_write
+
+        def spy(fbuf, index, event):
+            recorded.append((fbuf.name, index, event.command_type))
+            record_write(fbuf, index, event)
+
+        monkeypatch.setattr(FluidiBuffer, "record_write", spy)
         runtime, y, expected = run_fluidicl_scale(
             n=16384, gpu_eff=0.4, cpu_eff=0.6
         )
         np.testing.assert_allclose(y, expected, rtol=1e-6)
         buf_y = next(b for b in runtime.buffers if b.name == "y")
         cpu = runtime.primary_front.index
-        assert buf_y.last_kernel_writes[cpu] is not None
+        assert ("y", cpu, CommandType.ND_RANGE_KERNEL) in recorded
+        assert buf_y.last_write[cpu] is not None
         runtime.drain()
-        assert buf_y.last_kernel_writes[cpu].is_complete
-        assert not buf_y.quiesce_events(cpu)
+        assert buf_y.last_write[cpu].is_complete
+        assert buf_y.pending_write(cpu) is None
 
 
 class TestBackgroundBookkeeping:
@@ -267,27 +277,10 @@ class TestBackgroundBookkeeping:
         assert len(runtime._dh_processes) < kernels
         runtime.drain()
         assert runtime._dh_processes == []
-        assert runtime._pending_commits == []
-
-    def test_finish_waits_for_tracked_commit_events(self):
-        """finish() must block on commit events it tracks, even ones not
-        covered by the GPU-queue markers it takes."""
-        machine = build_machine()
-        runtime = FluidiCLRuntime(machine)
-        delay = 5e-4
-        cpu_queue = runtime.primary_front.queue
-        cpu_queue.enqueue_callback(
-            lambda _q: None, duration=delay, label="commit-sim"
-        )
-        commit = cpu_queue.finish_event()
-        runtime._pending_commits.append(commit)
-        before = runtime.now
-        runtime.finish()  # does not wait on CPU-queue markers by itself
-        assert commit.triggered
-        assert runtime.now >= before + delay
-        assert runtime._pending_commits == []
 
     def test_merge_commit_events_are_tracked_and_pruned(self):
+        """The blocking kernel call returns only once its merge has
+        written the anchor copy, so finish() has no commit to wait for."""
         machine = build_machine()
         runtime = FluidiCLRuntime(machine)
         n = 16384
@@ -299,9 +292,10 @@ class TestBackgroundBookkeeping:
         runtime.enqueue_nd_range_kernel(
             spec, NDRange(n, 16), {"x": x, "y": y, "alpha": 2.0}
         )
-        assert runtime.records[0].merged
+        assert runtime.records[0].path == "merged"
+        assert y.last_write[0].command_type is CommandType.ND_RANGE_KERNEL
+        assert y.pending_write(0) is None
         runtime.finish()
-        assert runtime._pending_commits == []
 
 
 class TestChunkerAccounting:

@@ -61,11 +61,10 @@ class TestGpuLossFailover:
                                  device="gpu"))
         np.testing.assert_array_equal(y, expected)
         record = runtime.records[0]
-        assert record.failover
-        assert record.cpu_completed_all
+        assert record.path == "failover"
         assert record.gpu_groups == 0
         assert runtime.stats.extra["failovers"] == 1
-        assert runtime.stats.extra["kernels_failover"] == 1
+        assert [r.path for r in runtime.records] == ["failover"]
         (event,) = events_named(machine, "failover")
         assert event.attrs["lost"] == runtime.gpu_device.name
         assert event.attrs["survivor"] == runtime.cpu_device.name
@@ -188,7 +187,7 @@ class TestUnrecoverableWindow:
         record = runtime.enqueue_nd_range_kernel(
             spec, NDRange(N, LOCAL), {"x": buf_x, "y": buf_y, "alpha": ALPHA}
         )
-        assert not record.cpu_completed_all  # result committed GPU-side
+        assert record.path in ("gpu-only", "merged")  # committed GPU-side
         # The GPU dies right after the commit, before the background
         # device-to-host read-back could deliver a CPU copy.
         runtime.gpu_device.health.declare_lost("post-commit loss")
@@ -210,7 +209,7 @@ class TestUnrecoverableWindow:
         record = runtime.enqueue_nd_range_kernel(
             spec, NDRange(n, LOCAL), {"x": bufs[0], "y": bufs[1], "alpha": 2.0}
         )
-        assert not record.cpu_completed_all  # y committed GPU-side
+        assert record.path in ("gpu-only", "merged")  # y committed GPU-side
         runtime.gpu_device.health.declare_lost("post-commit loss")
         with pytest.raises(DeviceLostError) as info:
             runtime.enqueue_nd_range_kernel(
