@@ -274,3 +274,32 @@ class TestOverlapProperties:
         assert len(discards) >= 1
         for event in discards:
             assert event.attrs["superseded_by"] > event.attrs["kernel_id"]
+
+    def test_superseded_read_back_moves_no_data(self):
+        """A host write that supersedes a kernel's version before the dh
+        thread reaches the buffer leaves nothing worth reading back: the
+        read-back is discarded without a D2H of the old version."""
+        machine = build_machine(trace=True)
+        runtime = FluidiCLRuntime(machine)
+        n = 4096
+        spec = make_scale_kernel(n, gpu_eff=0.9, cpu_eff=0.05,
+                                 work_scale=32.0)
+        x = runtime.create_buffer("x", (n,), np.float32)
+        y = runtime.create_buffer("y", (n,), np.float32)
+        runtime.enqueue_write_buffer(x, np.ones(n, dtype=np.float32))
+        record = runtime.enqueue_nd_range_kernel(
+            spec, NDRange(n, 16), {"x": x, "y": y, "alpha": 2.0}
+        )
+        runtime.enqueue_write_buffer(y, np.full(n, -1.0, dtype=np.float32))
+        runtime.finish()
+        runtime.drain()
+        (overwrite,) = [e for e in machine.tracer.instants(
+                            EventKind.BUFFER_WRITE)
+                        if e.attrs["buffer"] == "y"]
+        assert overwrite.attrs["version"] > record.kernel_id
+        late_reads = [s for s in machine.tracer.command_spans()
+                      if s.track == "fluidicl-dh"
+                      and s.attrs["buffer"].startswith("y@")
+                      and s.start >= overwrite.ts]
+        assert late_reads == []
+        assert runtime.stats.extra["stale_dh_discards"] == 1
