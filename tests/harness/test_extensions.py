@@ -91,6 +91,33 @@ class TestExtensionExperiments:
         with pytest.raises(AssertionError, match="single-device GPU run"):
             extensions.fault_resilience(benchmarks=("syrk",))
 
+    def test_every_transfer_fault_row_retries(self):
+        """syrk moves nothing host-to-device after the strike; the
+        transfer-fault row must still exercise the retry path."""
+        from repro.harness import extensions
+
+        result = extensions.fault_resilience(benchmarks=("syrk",))
+        rows = {row[1]: row for row in result.rows}
+        assert rows["transfer-fault"][4] > 0
+
+    def test_fault_table_rejects_a_transfer_fault_that_never_fires(
+            self, monkeypatch):
+        """A transfer-fault run in which no transfer retried raises."""
+        from repro.faults import FaultKind
+        from repro.harness import extensions
+
+        real = extensions.measure_app
+
+        def disarmed(app, *args, faults=None, **kwargs):
+            if faults is not None and any(
+                    spec.kind is FaultKind.TRANSFER_FAULT for spec in faults):
+                faults = None
+            return real(app, *args, faults=faults, **kwargs)
+
+        monkeypatch.setattr(extensions, "measure_app", disarmed)
+        with pytest.raises(AssertionError, match="no transfer retried"):
+            extensions.fault_resilience(benchmarks=("gesummv",))
+
     def test_phi_what_if_runs_and_is_correct(self):
         result = what_if_xeon_phi(scale="test", benchmarks=("syrk",))
         assert len(result.rows) == 1
