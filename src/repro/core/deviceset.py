@@ -48,9 +48,11 @@ class DeviceFront:
 
     index: int
     device: Device
-    #: in-order compute queue for subkernel launches (workers only)
+    #: the in-order queue every writer of this front's copies is enqueued
+    #: on: host writes, refreshes and, for a worker, read-back deliveries
+    #: and subkernels (the anchor's is the application queue)
     queue: Optional[CommandQueue] = None
-    #: separate queue for host reads / DH deliveries (workers only)
+    #: the queue host reads of this front's copies travel on
     io_queue: Optional[CommandQueue] = None
 
     @property
