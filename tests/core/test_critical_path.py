@@ -39,6 +39,13 @@ def _buffer(runtime, name):
     return fbuf
 
 
+def _read_backs_done(runtime):
+    """No buffer's read-back holds data or waits for a copy."""
+    return all(fbuf.readback is None
+               or (fbuf.readback.data is None and not fbuf.readback.waiting)
+               for fbuf in runtime.buffers)
+
+
 class TestPoolKeepsHelpers:
     def test_bfs_reuses_its_helpers_across_levels(self):
         """Without a per-kernel trim, bfs allocates each helper shape
@@ -137,7 +144,7 @@ class TestHostReadCoversTheReadBack:
         # The worker copy still receives the result, bit for bit.
         assert fbuf.current(1)
         assert np.array_equal(fbuf.copies[1].view, outputs["C"])
-        assert runtime._readbacks == {} and runtime._dh_reads == {}
+        assert _read_backs_done(runtime)
 
     def test_without_a_host_read_the_read_back_copies_down(self):
         runtime = FluidiCLRuntime(build_machine())
@@ -154,7 +161,7 @@ class TestHostReadCoversTheReadBack:
         assert runtime.gpu_device.stats["bytes_d2h"] == y.nbytes
         assert y.current(1)
         assert np.array_equal(y.copies[1].view, np.full(n, 2.0, np.float32))
-        assert runtime._readbacks == {} and runtime._dh_reads == {}
+        assert _read_backs_done(runtime)
 
     def test_cancelled_host_read_falls_back_to_a_read_of_the_anchor(self):
         """The anchor dies between the kernel's commit and the covering
@@ -178,4 +185,61 @@ class TestHostReadCoversTheReadBack:
         assert runtime.stats.extra["readbacks_covered"] == 0
         assert not fbuf.dh_pending_for(1)
         assert not fbuf.current(1)
-        assert runtime._readbacks == {} and runtime._dh_reads == {}
+        assert _read_backs_done(runtime)
+
+
+class TestSupersededReadBack:
+    """Kernel A commits ``y`` on the anchor of ``cpu+2gpu``, the host
+    overwrites ``y`` before A's read-back reaches the worker copies, and
+    kernel B commits ``y`` on the Xeon alone.  A's read-back is moot from
+    the overwrite on, so kernel C, which reads ``y``, must refresh both
+    stale copies: a copy left waiting for it never gets ``y``."""
+
+    N = 4096
+
+    def _run(self, loss_after=None):
+        n = self.N
+        machine = build_machine(preset="cpu+2gpu", trace=True)
+        runtime = FluidiCLRuntime(machine)
+        x = runtime.create_buffer("x", (n,), np.float32)
+        y = runtime.create_buffer("y", (n,), np.float32)
+        z = runtime.create_buffer("z", (n,), np.float32)
+        runtime.enqueue_write_buffer(x, np.arange(n, dtype=np.float32))
+        a = runtime.enqueue_nd_range_kernel(
+            make_scale_kernel(n, gpu_eff=0.9, cpu_eff=0.05, work_scale=32.0),
+            NDRange(n, 16), {"x": x, "y": y, "alpha": 2.0})
+        runtime.enqueue_write_buffer(y, np.ones(n, dtype=np.float32))
+        b = runtime.enqueue_nd_range_kernel(
+            make_scale_kernel(n, gpu_eff=0.01, cpu_eff=0.9, work_scale=32.0),
+            NDRange(n, 16), {"x": x, "y": y, "alpha": 3.0})
+        assert (a.path, b.path) == ("merged", "cpu-complete")
+        if loss_after is not None:
+            install_faults(runtime, FaultSchedule.single(
+                FaultKind.DEVICE_LOSS, at=machine.now + loss_after,
+                device=runtime.gpu_device.name))
+        refreshes = runtime.stats.extra["input_refreshes"]
+        c = runtime.enqueue_nd_range_kernel(
+            make_scale_kernel(n, work_scale=32.0),
+            NDRange(n, 16), {"x": y, "y": z, "alpha": 0.5})
+        refreshes = runtime.stats.extra["input_refreshes"] - refreshes
+        runtime.drain()
+        out = np.empty(n, dtype=np.float32)
+        runtime.enqueue_read_buffer(z, out)
+        return runtime, machine, c, refreshes, out
+
+    def test_no_worker_copy_is_stranded(self):
+        runtime, machine, c, refreshes, out = self._run()
+        assert refreshes == 2
+        launched = {e["device"] for e in machine.tracer.events
+                    if e.category == "subkernel_launch"
+                    and e["kernel_id"] == c.kernel_id}
+        assert "Tesla C2070 #2" in launched
+        y = _buffer(runtime, "y")
+        assert all(y.current(i) for i in range(len(y.copies)))
+        assert np.array_equal(out, 1.5 * np.arange(self.N, dtype=np.float32))
+
+    def test_anchor_loss_fails_over(self):
+        *_, fault_free = self._run()
+        _, _, c, _, out = self._run(loss_after=50e-6)
+        assert c.path == "failover"
+        assert np.array_equal(out, fault_free)
