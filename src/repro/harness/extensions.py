@@ -280,7 +280,7 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
     transient failures in each direction on the anchor, and a row in
     which none of them fired raises: it would check nothing.
     """
-    from repro.faults import FaultKind, FaultSchedule, FaultSpec
+    from repro.faults import FaultKind, FaultSchedule
 
     benchmarks = list(benchmarks or PAPER_SUITE)
     result = ExperimentResult(
@@ -288,16 +288,12 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
         "Graceful degradation under injected faults (scale: %s)" % scale,
         ["benchmark", "fault", "correct", "failovers", "retries", "slowdown"],
     )
-    transfer = dict(kind=FaultKind.TRANSFER_FAULT, device="gpu", count=2)
     cases = [
-        ("stall", [dict(kind=FaultKind.DEVICE_STALL, device="gpu",
-                        duration=5e-4)]),
-        ("gpu-loss", [dict(kind=FaultKind.DEVICE_LOSS, device="gpu")]),
-        ("cpu-loss", [dict(kind=FaultKind.DEVICE_LOSS, device="cpu")]),
-        ("transfer-fault", [dict(transfer, direction="h2d"),
-                            dict(transfer, direction="d2h")]),
-        ("degrade", [dict(kind=FaultKind.LINK_DEGRADE, device="gpu",
-                          factor=0.25)]),
+        ("stall", FaultKind.DEVICE_STALL, "gpu"),
+        ("gpu-loss", FaultKind.DEVICE_LOSS, "gpu"),
+        ("cpu-loss", FaultKind.DEVICE_LOSS, "cpu"),
+        ("transfer-fault", FaultKind.TRANSFER_FAULT, "gpu"),
+        ("degrade", FaultKind.LINK_DEGRADE, "gpu"),
     ]
     for name in benchmarks:
         app = make_app(name, scale)
@@ -309,11 +305,10 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
 
         base = measure_app(app, inputs=inputs)
         strike = first_kernel_strike_time(base)
-        for label, specs in cases:
+        for label, kind, device in cases:
             run = measure_app(
                 app, inputs=inputs,
-                faults=FaultSchedule([FaultSpec(at=strike, **spec)
-                                      for spec in specs]),
+                faults=FaultSchedule.representative(kind, strike, device),
             )
             for key, want in expected.items():
                 if not np.array_equal(run.result.outputs[key], want):

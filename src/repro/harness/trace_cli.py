@@ -30,19 +30,6 @@ __all__ = ["trace_main"]
 DEFAULT_TRACE_OUT = os.path.join("out", "fluidicl.trace.json")
 
 
-def _build_fault_schedule(kind: str, at: float, device: str) -> FaultSchedule:
-    """One representative spec per fault class for CLI experimentation."""
-    extras = {
-        FaultKind.DEVICE_STALL: {"duration": 5e-4},
-        FaultKind.DEVICE_LOSS: {},
-        FaultKind.TRANSFER_FAULT: {"direction": "h2d", "count": 2},
-        FaultKind.LINK_DEGRADE: {"factor": 0.25},
-    }
-    fault_kind = FaultKind(kind)
-    return FaultSchedule.single(fault_kind, at=at, device=device,
-                                **extras[fault_kind])
-
-
 def _collect_metrics(runtime: FluidiCLRuntime) -> dict:
     metrics = dict(runtime.stats.extra)
     metrics.update(
@@ -130,7 +117,8 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         if strike is None:
             strike = first_kernel_strike_time(
                 measure_app(app, machine=args.machine, check=False))
-        schedule = _build_fault_schedule(args.faults, strike, args.fault_device)
+        schedule = FaultSchedule.representative(args.faults, strike,
+                                                args.fault_device)
 
     result, runtime, machine = measure_app(app, machine=args.machine,
                                            faults=schedule, trace=True)

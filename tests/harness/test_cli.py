@@ -82,6 +82,19 @@ class TestTraceSubcommand:
         printed = capsys.readouterr().out
         assert "Tesla C2070 #2" in printed and "transfer_retries" in printed
 
+    def test_transfer_fault_retries(self, capsys, tmp_path):
+        """bicg issues no host-to-device transfer on the anchor after the
+        default strike, so a transfer fault arming H2D failures alone
+        would retry nothing."""
+        out_path = tmp_path / "trace.json"
+        assert main(["trace", "--smoke", "--app", "bicg",
+                     "--faults", "transfer-fault", "--no-gantt",
+                     "--out", str(out_path)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.strip().startswith("resilience:")]
+        retries = int(line.split("'transfer_retries': ")[1].rstrip("}"))
+        assert retries >= 1
+
     @pytest.mark.parametrize("argv,named", [
         (["--machine", "nosuch"], "'nosuch'"),
         # a device of cpu+2gpu, but not of the default pair
