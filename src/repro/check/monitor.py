@@ -115,12 +115,9 @@ class _KernelState:
     total_groups: int
     #: where the next subkernel window must end (walks down from the top)
     next_window_end: int = 0
-    windows: List[tuple] = field(default_factory=list)
     #: non-redo windows per worker front (device name), for the N-device
     #: partition invariant
     front_windows: Dict[str, List[tuple]] = field(default_factory=dict)
-    #: re-runs of other fronts' windows, checked against foreign coverage
-    redo_windows: List[tuple] = field(default_factory=list)
     #: last accepted status frontier
     frontier: int = 0
     merges_enqueued: int = 0
@@ -302,7 +299,6 @@ class CoherenceMonitor:
                     f"range no other front had claimed",
                     event.ts, state.kernel_id,
                 )
-            state.redo_windows.append((lo, hi))
             return
         if ok:
             self._check(
@@ -312,7 +308,6 @@ class CoherenceMonitor:
                 f"range)",
                 event.ts, state.kernel_id,
             )
-        state.windows.append((lo, hi))
         state.front_windows.setdefault(device, []).append((lo, hi))
         state.next_window_end = min(lo, state.next_window_end)
 

@@ -36,8 +36,6 @@ class FluidiCLConfig:
     #: time alternate kernel versions online and pick the fastest (§6.6;
     #: disabled in the headline results, enabled for Table 3)
     online_profiling: bool = False
-    #: size of the CPU-to-GPU execution status message, bytes
-    status_message_bytes: int = 64
     #: seconds without device progress before the per-kernel watchdog
     #: escalates a silent device to lost
     watchdog_timeout: float = 0.25
@@ -53,8 +51,6 @@ class FluidiCLConfig:
             raise ValueError("initial_chunk_fraction must be in (0, 1]")
         if not 0 <= self.chunk_step_fraction <= 1:
             raise ValueError("chunk_step_fraction must be in [0, 1]")
-        if self.status_message_bytes < 1:
-            raise ValueError("status_message_bytes must be >= 1")
         if self.watchdog_timeout <= 0:
             raise ValueError("watchdog_timeout must be positive")
         if self.transfer_max_retries < 0:

@@ -27,6 +27,9 @@ from repro.ocl.kernel import Kernel
 
 __all__ = ["CpuScheduler"]
 
+#: size of a worker's execution status message to the anchor, bytes (§5.5)
+STATUS_MESSAGE_BYTES = 64
+
 
 class CpuScheduler:
     """Drives one worker front's cooperative execution for one kernel."""
@@ -280,8 +283,7 @@ class CpuScheduler:
         else:
             ledger.mark_landed(index, mark)
         status_seconds = runtime.gpu_device.link.transfer_time(
-            runtime.config.status_message_bytes
-        )
+            STATUS_MESSAGE_BYTES)
 
         def deliver_status(_queue):
             value = ledger.committed_frontier()

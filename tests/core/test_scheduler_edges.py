@@ -120,7 +120,6 @@ class TestFinalizeRace:
             gpu_device=SimpleNamespace(
                 link=SimpleNamespace(transfer_time=lambda nbytes: 1e-6)
             ),
-            config=SimpleNamespace(status_message_bytes=64),
             stats=SimpleNamespace(extra={"status_messages": 0}),
         )
         ledger = FrontLedger(board.total_groups)
