@@ -61,6 +61,16 @@ class TestLifecycle:
         assert fbuf.current(CPU)
         assert not fbuf.dh_pending_for(CPU)
 
+    @pytest.mark.parametrize("supersede", [
+        lambda b: b.commit_host_write(5),
+        lambda b: (b.expect_write(5), b.commit_front(CPU, 5)),
+    ], ids=["host-write", "worker-commit"])
+    def test_superseded_read_back_is_not_pending(self, fbuf, supersede):
+        fbuf.expect_write(4)
+        fbuf.commit_front(GPU, 4)
+        supersede(fbuf)
+        assert not fbuf.dh_pending_for(CPU)
+
 
 class TestGates:
     def test_cpu_gate_fires_on_refresh(self, fbuf, machine):
