@@ -270,15 +270,6 @@ class TestEngine:
         with pytest.raises(SimDeadlockError):
             engine.run(event)
 
-    def test_step_requires_events(self, engine):
-        with pytest.raises(SimDeadlockError):
-            engine.step()
-
-    def test_peek(self, engine):
-        assert engine.peek() == float("inf")
-        engine.timeout(4)
-        assert engine.peek() == 4
-
     def test_fifo_order_at_same_instant(self, engine):
         log = []
         for name in "abc":
