@@ -26,7 +26,6 @@ class FaultInjector:
         self.schedule = schedule
         #: specs already applied, in application order
         self.applied: List[FaultSpec] = []
-        self._processes: List[object] = []
         self._installed = False
 
     def install(self) -> "FaultInjector":
@@ -38,10 +37,10 @@ class FaultInjector:
             # Resolve the target eagerly: an unknown device name should
             # fail at install time, not mid-simulation inside a process.
             self._device(spec)
-            self._processes.append(engine.process(
+            engine.process(
                 self._inject(spec),
                 name=f"fault-{idx}-{spec.kind.value}@{spec.device}",
-            ))
+            )
         return self
 
     def _device(self, spec: FaultSpec):
@@ -85,7 +84,6 @@ class FaultInjector:
                 name=f"{device.link.name}-degraded",
                 bandwidth=device.link.bandwidth * spec.factor,
             )
-            health.faults_injected += 1
         self.applied.append(spec)
         self.runtime.stats.extra["faults_injected"] += 1
         engine.trace("fault_injected", **spec.describe())

@@ -60,8 +60,7 @@ class DeviceHealth:
         #: first retry doubles per attempt
         self.max_transfer_retries = 4
         self.retry_backoff = 2e-5
-        # -- counters for observability ----------------------------------
-        self.faults_injected = 0
+        #: transfer attempts retried after an injected failure
         self.transfer_retries = 0
 
     # -- state queries -----------------------------------------------------
@@ -90,7 +89,6 @@ class DeviceHealth:
             raise ValueError("stall duration must be >= 0")
         if self.lost:
             return
-        self.faults_injected += 1
         self._stalled_until = max(
             self._stalled_until, self.engine.now + duration
         )
@@ -101,7 +99,6 @@ class DeviceHealth:
             return
         self.lost = True
         self.lost_reason = reason
-        self.faults_injected += 1
         self._lost_gate.fire(reason)
 
     def inject_transfer_faults(self, direction: str, count: int = 1) -> None:
@@ -110,7 +107,6 @@ class DeviceHealth:
             raise ValueError(f"unknown DMA direction {direction!r}")
         if count < 1:
             raise ValueError("count must be >= 1")
-        self.faults_injected += count
         self._pending_transfer_faults[direction] += count
 
     # -- command-layer hooks -----------------------------------------------
