@@ -14,7 +14,8 @@ implemented from scratch so the repository is self-contained:
 * :class:`~repro.sim.resources.Resource` — counted resource (e.g. a DMA
   engine has capacity 1, a CPU has one slot per hardware thread).
 * :class:`~repro.sim.resources.Channel` — FIFO mailbox between processes.
-* :class:`~repro.sim.sync.Gate` — broadcast condition with versioned waits.
+* :class:`~repro.sim.sync.Gate` — broadcast condition: :meth:`fire` wakes
+  every current waiter.
 """
 
 from repro.sim.core import (

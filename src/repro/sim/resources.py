@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.core import Engine, Event, SimError
 
@@ -153,6 +153,3 @@ class Channel:
         self._closed = True
         while self._getters:
             self._getters.popleft().succeed(self._close_value)
-
-    def peek(self) -> Optional[Any]:
-        return self._items[0] if self._items else None

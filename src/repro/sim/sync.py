@@ -10,40 +10,25 @@ __all__ = ["Gate", "Latch"]
 
 
 class Gate:
-    """A broadcast condition variable with a monotonically versioned value.
+    """A broadcast condition variable: each :meth:`fire` wakes every
+    current waiter with the fired value (how the GPU executor observes CPU
+    status updates without busy-waiting)."""
 
-    Each :meth:`fire` publishes a new value and wakes every current waiter.
-    Waiters can also ask to be woken only when the version advances beyond a
-    known point (``wait(after_version=v)``), which is how the GPU executor
-    observes CPU status updates without busy-waiting.
-    """
-
-    def __init__(self, engine: Engine, initial: Any = None, name: str = "gate"):
+    def __init__(self, engine: Engine, name: str = "gate"):
         self.engine = engine
         self.name = name
-        self.value = initial
-        self.version = 0
         self._waiters: List[Event] = []
 
     def fire(self, value: Any) -> None:
-        """Publish ``value`` and wake all waiters."""
-        self.value = value
-        self.version += 1
+        """Wake all waiters with ``value``."""
         waiters, self._waiters = self._waiters, []
         for event in waiters:
             event.succeed(value)
 
-    def wait(self, after_version: int = None) -> Event:
-        """Event triggering on the next :meth:`fire`.
-
-        With ``after_version`` given, triggers immediately if the gate has
-        already advanced past that version.
-        """
+    def wait(self) -> Event:
+        """Event triggering on the next :meth:`fire`."""
         event = Event(self.engine, name=f"wait:{self.name}")
-        if after_version is not None and self.version > after_version:
-            event.succeed(self.value)
-        else:
-            self._waiters.append(event)
+        self._waiters.append(event)
         return event
 
 

@@ -106,13 +106,11 @@ class TestChannel:
         got = [engine.run(channel.get()) for _ in range(3)]
         assert got == [1, 2, 3]
 
-    def test_len_and_peek(self, engine):
+    def test_len(self, engine):
         channel = Channel(engine)
         assert len(channel) == 0
-        assert channel.peek() is None
         channel.put("a")
         assert len(channel) == 1
-        assert channel.peek() == "a"
 
     def test_close_releases_waiters_with_none(self, engine):
         channel = Channel(engine)

@@ -12,29 +12,6 @@ class TestGate:
         gate.fire(7)
         values = [engine.run(w) for w in waits]
         assert values == [7, 7]
-        assert gate.value == 7
-
-    def test_version_increments(self, engine):
-        gate = Gate(engine, initial=0)
-        assert gate.version == 0
-        gate.fire(1)
-        gate.fire(2)
-        assert gate.version == 2
-
-    def test_wait_after_version_immediate(self, engine):
-        gate = Gate(engine)
-        gate.fire("x")
-        wait = gate.wait(after_version=0)
-        assert wait.triggered
-        assert engine.run(wait) == "x"
-
-    def test_wait_after_current_version_blocks(self, engine):
-        gate = Gate(engine)
-        gate.fire("x")
-        wait = gate.wait(after_version=gate.version)
-        assert not wait.triggered
-        gate.fire("y")
-        assert engine.run(wait) == "y"
 
     def test_waiters_cleared_after_fire(self, engine):
         gate = Gate(engine)
