@@ -39,13 +39,13 @@ class MicroCase:
 # ---------------------------------------------------------------------------
 
 def _event_churn(n: int) -> dict:
-    """Schedule and drain ``n`` events through the engine heap."""
+    """Schedule and drain ``n`` events through the engine queue."""
     from repro.sim.core import Engine
 
     engine = Engine()
     timeout = engine.timeout
     for i in range(n):
-        # a deterministic spread of delays so the heap actually reorders
+        # a deterministic spread of delays so the calendar actually reorders
         timeout((i % 13) * 1e-7)
     engine.run()
     return {"work": n, "simulated": engine.now}
