@@ -330,11 +330,13 @@ def _run_serve_config(config: FuzzConfig, wall_start: float) -> CheckResult:
     error: Optional[str] = None
     violations: List[Violation] = []
     checks = 0
+    events = 0
     elapsed = 0.0
     try:
         report = run_serve(config.serve)
         violations = list(report.violations)
         checks = report.checks
+        events = report.events
         elapsed = report.simulated_seconds
         totals = report.totals
         if totals["submitted"] != totals["admitted"] + totals["shed"]:
@@ -361,6 +363,7 @@ def _run_serve_config(config: FuzzConfig, wall_start: float) -> CheckResult:
         violations=violations,
         elapsed=elapsed,
         wall_seconds=time.perf_counter() - wall_start,
+        events=events,
         checks=checks,
         error=error,
     )
@@ -411,7 +414,7 @@ def run_config(config: FuzzConfig, rtol: float = DEFAULT_RTOL,
     if config.corruption:
         machine.tracer.add_listener(_Corruptor(monitor, config.corruption))
     if config.faults:
-        install_faults(runtime, FaultSchedule(list(config.faults)))
+        install_faults(runtime.platform, FaultSchedule(list(config.faults)))
 
     outcome = "ok"
     correct: Optional[bool] = None

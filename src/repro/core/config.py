@@ -39,8 +39,6 @@ class FluidiCLConfig:
     #: seconds without device progress before the per-kernel watchdog
     #: escalates a silent device to lost
     watchdog_timeout: float = 0.25
-    #: bounded-retry budget for transiently failing H2D/D2H transfers
-    transfer_max_retries: int = 4
     #: fluidity lint gate before cooperative launch (repro.analysis):
     #: "strict" refuses kernels that are not fluidic-safe, "warn" emits
     #: lint_finding events and launches anyway, "off" skips the analysis
@@ -53,8 +51,6 @@ class FluidiCLConfig:
             raise ValueError("chunk_step_fraction must be in [0, 1]")
         if self.watchdog_timeout <= 0:
             raise ValueError("watchdog_timeout must be positive")
-        if self.transfer_max_retries < 0:
-            raise ValueError("transfer_max_retries must be >= 0")
         if self.lint not in ("off", "warn", "strict"):
             raise ValueError(
                 f"lint must be 'off', 'warn' or 'strict', got {self.lint!r}"

@@ -40,7 +40,6 @@ from repro.core.scheduler import CpuScheduler
 from repro.core.stats import KernelRecord
 from repro.core.watchdog import KernelWatchdog
 from repro.hw.machine import Machine
-from repro.hw.specs import DeviceKind
 from repro.kernels.dsl import KernelSpec
 from repro.kernels.transforms import gpu_fluidic_variant, plain_variant
 from repro.ocl.buffer import Buffer
@@ -96,13 +95,9 @@ class FluidiCLRuntime(AbstractRuntime):
         self.platform = platform or Platform(machine)
         self.device_set = DeviceSet(self.platform.devices)
         self.gpu_device = self.device_set.anchor.device
-        # The CPU-path device: the last CPU-kind device of the set, or the
-        # last device outright (pure-GPU sets like big.little).  Host reads
+        # The CPU-path device (the fault injector's "cpu" too).  Host reads
         # prefer its copy when it is current (location tracking, §6.2).
-        cpu_index = len(self.platform.devices) - 1
-        for i, device in enumerate(self.platform.devices):
-            if device.spec.kind is DeviceKind.CPU:
-                cpu_index = i
+        cpu_index = self.platform.cpu_path_index
         self.cpu_device = self.platform.devices[cpu_index]
         self.context = self.platform.create_context()
         # The application queue plus the two extra transfer queues (§5.4).
@@ -147,20 +142,12 @@ class FluidiCLRuntime(AbstractRuntime):
             merges=0,
             subkernels_launched=0,
             status_messages=0,
-            faults_injected=0,
             failovers=0,
             watchdog_trips=0,
             lint_findings=0,
         )
         for device in self.platform.devices:
-            self.stats.extra.update({
-                f"reads_from[{device.name}]": 0,
-                f"watchdog_trips[{device.name}]": 0,
-            })
-        # Resilience policy (see repro.faults / DESIGN.md): bounded retry
-        # for transiently failing transfers on every device.
-        for device in self.platform.devices:
-            device.health.max_transfer_retries = self.config.transfer_max_retries
+            self.stats.extra[f"reads_from[{device.name}]"] = 0
         #: a worker-front loss is reported as one failover, at the end of
         #: the first kernel it affects — once per front, not per kernel
         self._front_loss_traced: set = set()

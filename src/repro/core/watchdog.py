@@ -61,10 +61,7 @@ class KernelWatchdog:
                     "device_degraded", device=self.device.name,
                     idle=idle, timeout=self.timeout, label=self.label,
                 )
-                extra = self.runtime.stats.extra
-                extra["watchdog_trips"] += 1
-                per_device = f"watchdog_trips[{self.device.name}]"
-                extra[per_device] = extra.get(per_device, 0) + 1
+                self.runtime.stats.extra["watchdog_trips"] += 1
                 health.declare_lost(
                     f"watchdog: no progress for {idle:.3g}s "
                     f"(limit {self.timeout:.3g}s)"

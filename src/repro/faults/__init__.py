@@ -1,11 +1,11 @@
-"""Deterministic fault injection for the dual-device runtime.
+"""Deterministic fault injection on the devices of a platform.
 
 Usage::
 
     from repro.faults import FaultKind, FaultSchedule, install_faults
 
     schedule = FaultSchedule.single(FaultKind.DEVICE_LOSS, at=5e-4, device="gpu")
-    install_faults(runtime, schedule)   # before running the app
+    install_faults(runtime.platform, schedule)   # before running the app
 
 See DESIGN.md ("Fault injection & graceful degradation") for the fault
 taxonomy and the watchdog/failover protocol.

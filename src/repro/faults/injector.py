@@ -1,11 +1,12 @@
-"""Applies a :class:`FaultSchedule` to a live runtime.
+"""Applies a :class:`FaultSchedule` to the devices of a live platform.
 
 One wrapper process per scheduled fault sleeps until the fault's simulated
 time and then mutates the target device's :class:`~repro.ocl.health.DeviceHealth`
 (or, for link degradation, swaps the device's interconnect spec for a
-bandwidth-scaled copy).  Kernel code and the command layer are untouched —
-they only ever observe the health object at their existing quantization
-boundaries.
+bandwidth-scaled copy).  The injector needs only the platform (its engine
+and device list), so it drives a runtime and a serve ``Server`` alike.
+Kernel code and the command layer are untouched — they only ever observe
+the health object at their existing quantization boundaries.
 """
 
 from __future__ import annotations
@@ -14,17 +15,19 @@ from dataclasses import replace
 from typing import List
 
 from repro.faults.schedule import FaultKind, FaultSchedule, FaultSpec
+from repro.ocl.platform import Platform
 
 __all__ = ["FaultInjector", "install_faults"]
 
 
 class FaultInjector:
-    """Drives one schedule against one runtime (install once, per run)."""
+    """Drives one schedule against one platform (install once, per run)."""
 
-    def __init__(self, runtime, schedule: FaultSchedule):
-        self.runtime = runtime
+    def __init__(self, platform: Platform, schedule: FaultSchedule):
+        self.platform = platform
         self.schedule = schedule
-        #: specs already applied, in application order
+        #: specs already applied, in application order — the one record of
+        #: how many faults struck
         self.applied: List[FaultSpec] = []
         self._installed = False
 
@@ -32,7 +35,7 @@ class FaultInjector:
         if self._installed:
             raise RuntimeError("fault schedule already installed")
         self._installed = True
-        engine = self.runtime.engine
+        engine = self.platform.engine
         for idx, spec in enumerate(self.schedule):
             # Resolve the target eagerly: an unknown device name should
             # fail at install time, not mid-simulation inside a process.
@@ -46,9 +49,9 @@ class FaultInjector:
     def _device(self, spec: FaultSpec):
         # Exact device name first (N-device sets), then the name modulo a
         # what-if scaling suffix ("Tesla C2070x0.5" still answers to
-        # "Tesla C2070"), then the classic kind shorthands "gpu" (the
-        # anchor) / "cpu".
-        devices = getattr(self.runtime.platform, "devices", ())
+        # "Tesla C2070"), then the shorthands "gpu" (device 0, the anchor)
+        # and "cpu" (the runtime's CPU-path device).
+        devices = self.platform.devices
         for device in devices:
             if device.name == spec.device:
                 return device
@@ -56,17 +59,17 @@ class FaultInjector:
             if device.name.startswith(spec.device + "x"):
                 return device
         if spec.device == "gpu":
-            return self.runtime.gpu_device
+            return devices[0]
         if spec.device == "cpu":
-            return self.runtime.cpu_device
-        names = [d.name for d in getattr(self.runtime.platform, "devices", ())]
+            return devices[self.platform.cpu_path_index]
         raise ValueError(
             f"fault targets unknown device {spec.device!r}; this machine "
-            f"has {names} (or use the shorthands 'gpu' / 'cpu')"
+            f"has {[d.name for d in devices]} (or use the shorthands "
+            f"'gpu' / 'cpu')"
         )
 
     def _inject(self, spec: FaultSpec):
-        engine = self.runtime.engine
+        engine = self.platform.engine
         delay = spec.at - engine.now
         if delay > 0:
             yield engine.timeout(delay)
@@ -85,10 +88,9 @@ class FaultInjector:
                 bandwidth=device.link.bandwidth * spec.factor,
             )
         self.applied.append(spec)
-        self.runtime.stats.extra["faults_injected"] += 1
         engine.trace("fault_injected", **spec.describe())
 
 
-def install_faults(runtime, schedule: FaultSchedule) -> FaultInjector:
+def install_faults(platform: Platform, schedule: FaultSchedule) -> FaultInjector:
     """Convenience: build and install an injector; returns it."""
-    return FaultInjector(runtime, schedule).install()
+    return FaultInjector(platform, schedule).install()

@@ -56,10 +56,10 @@ def measure_app(app: PolybenchApp,
 
     ``machine`` is a preset name from ``MACHINE_PRESETS`` or a device
     list.  The runtime is ``factory(node)``, FluidiCL by default;
-    ``faults`` is installed on it before the host program starts, and
-    ``trace`` leaves a recorder on the returned machine.  A FluidiCL
-    runtime is drained, so its counters are final; with ``check``, wrong
-    outputs raise.
+    ``faults`` is installed on its platform before the host program
+    starts, and ``trace`` leaves a recorder on the returned machine.  A
+    FluidiCL runtime is drained, so its counters are final; with
+    ``check``, wrong outputs raise.
     """
     if isinstance(machine, str):
         node = build_machine(preset=machine, trace=trace)
@@ -67,7 +67,7 @@ def measure_app(app: PolybenchApp,
         node = build_machine(devices=machine, trace=trace)
     runtime = FluidiCLRuntime(node) if factory is None else factory(node)
     if faults is not None:
-        install_faults(runtime, faults)
+        install_faults(runtime.platform, faults)
     result = app.execute(runtime, inputs=inputs, check=check)
     if check and not result.correct:
         raise AssertionError(

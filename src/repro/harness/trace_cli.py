@@ -4,8 +4,9 @@ Runs one Polybench application under the FluidiCL runtime on a traced
 machine (any ``MACHINE_PRESETS`` node, one Gantt lane per front), then
 writes the typed event stream as Chrome-trace JSON (loadable
 in ``chrome://tracing`` / Perfetto) and prints the ASCII Gantt plus the
-run's counters (``runtime.stats.extra``).  The JSON and the Gantt read
-the same :class:`~repro.obs.recorder.EventRecorder` stream.
+run's counters (``runtime.stats.extra``, plus ``faults_injected`` counted
+from the ``fault_injected`` events).  The JSON and the Gantt read the
+same :class:`~repro.obs.recorder.EventRecorder` stream.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ __all__ = ["trace_main"]
 DEFAULT_TRACE_OUT = os.path.join("out", "fluidicl.trace.json")
 
 
-def _collect_metrics(runtime: FluidiCLRuntime) -> dict:
+def _collect_metrics(runtime: FluidiCLRuntime, recorder) -> dict:
     metrics = dict(runtime.stats.extra)
     metrics.update(
+        faults_injected=sum(e.category == "fault_injected"
+                            for e in recorder.by_kind(EventKind.FAULT)),
         pool_hits=runtime.pool.hits,
         pool_misses=runtime.pool.misses,
         kernels_enqueued=runtime.stats.kernels_enqueued,
@@ -123,7 +126,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     result, runtime, machine = measure_app(app, machine=args.machine,
                                            faults=schedule, trace=True)
     recorder = machine.tracer
-    metrics = _collect_metrics(runtime)
+    metrics = _collect_metrics(runtime, recorder)
     trace = write_chrome_trace(args.out, recorder,
                                process_name=f"fluidicl:{args.app}",
                                metrics=metrics)
@@ -135,7 +138,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
         for spec in schedule:
             print(f"  fault: {spec.describe()}")
         resilience = {
-            k: runtime.stats.extra[k]
+            k: metrics[k]
             for k in ("faults_injected", "failovers", "watchdog_trips")
         }
         resilience["transfer_retries"] = sum(

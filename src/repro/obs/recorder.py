@@ -88,6 +88,8 @@ class EventRecorder:
         #: tests that record 10^5+ job lifecycles and only need online
         #: consumers (monitor, metrics), not post-mortem logs
         self.retain = retain
+        #: typed events recorded so far, retained or not
+        self.recorded = 0
 
     # -- monitor hook API --------------------------------------------------
     def add_listener(self, fn) -> None:
@@ -122,6 +124,7 @@ class EventRecorder:
             attrs=dict(payload),
             category=category,
         )
+        self.recorded += 1
         if self.retain:
             self.events.append(event)
         for listener in self._listeners:

@@ -26,68 +26,6 @@ __all__ = [
 ArraySource = Union[np.ndarray, Callable[[], np.ndarray]]
 
 
-def _transfer(queue, direction: str, nbytes: int, describe: dict) -> Generator:
-    """Occupy the ``direction`` DMA engine for one ``nbytes`` transfer.
-
-    Handles the fault model: stalls park the transfer at its start boundary,
-    injected transient failures cost half a transfer (the point at which the
-    error is noticed) and are retried with exponential backoff up to the
-    device's retry budget, after which the device is declared lost.  The
-    caller performs the actual data copy *after* this returns, so a retried
-    transfer never exposes partially-moved data.
-    """
-    device = queue.device
-    engine = device.engine
-    health = device.health
-    if (yield from health.wait_ready()):
-        raise DeviceLostError(f"{device.name} lost ({health.lost_reason})")
-    resource = getattr(device, direction)
-    request = resource.request()
-    yield request
-    try:
-        attempt = 0
-        while True:
-            if (yield from health.wait_ready()):
-                raise DeviceLostError(
-                    f"{device.name} lost ({health.lost_reason})"
-                )
-            if health.take_transfer_fault(direction):
-                attempt += 1
-                # The failure surfaces partway through the transfer; that
-                # bus time is wasted either way.
-                yield engine.timeout(device.transfer_time(nbytes) / 2.0)
-                if attempt > health.max_transfer_retries:
-                    health.declare_lost(
-                        f"{direction} transfer failed "
-                        f"{attempt} times (retries exhausted)"
-                    )
-                    raise DeviceLostError(
-                        f"{device.name} lost ({health.lost_reason})"
-                    )
-                health.transfer_retries += 1
-                backoff = health.retry_backoff * (2 ** (attempt - 1))
-                engine.trace(
-                    "fault_retry", kind="transfer", queue=queue.name,
-                    device=device.name, direction=direction,
-                    attempt=attempt, backoff=backoff, **describe,
-                )
-                yield engine.timeout(backoff)
-                continue
-            yield engine.timeout(device.transfer_time(nbytes))
-            health.beat()
-            return
-    finally:
-        resource.release(request)
-
-
-def _barrier(health) -> Generator:
-    """Wait out any stall; raise if the device is (or becomes) lost."""
-    if (yield from health.wait_ready()):
-        raise DeviceLostError(
-            f"{health.device_name} lost ({health.lost_reason})"
-        )
-
-
 class Command:
     """Base class: a unit of work executed by a queue, in order."""
 
@@ -121,11 +59,10 @@ class WriteBufferCommand(Command):
         self.nbytes = int(nbytes) if nbytes is not None else buffer.nbytes
 
     def run(self, queue) -> Generator:
-        device = queue.device
-        yield from _transfer(queue, "h2d", self.nbytes, self.describe())
+        yield from queue.device.transfer("h2d", self.nbytes, queue.name,
+                                         self.describe())
         data = self.source() if callable(self.source) else self.source
         self.buffer.write_from(data)
-        device.stats["bytes_h2d"] += self.nbytes
         return self.nbytes
 
     def describe(self) -> dict:
@@ -142,10 +79,9 @@ class ReadBufferCommand(Command):
         self.dest = dest
 
     def run(self, queue) -> Generator:
-        device = queue.device
-        yield from _transfer(queue, "d2h", self.buffer.nbytes, self.describe())
+        yield from queue.device.transfer("d2h", self.buffer.nbytes,
+                                         queue.name, self.describe())
         self.buffer.read_into(self.dest)
-        device.stats["bytes_d2h"] += self.buffer.nbytes
         return self.buffer.nbytes
 
     def describe(self) -> dict:
@@ -171,11 +107,11 @@ class CopyBufferCommand(Command):
 
     def run(self, queue) -> Generator:
         device = queue.device
-        yield from _barrier(device.health)
+        yield from device.health.barrier()
         request = device.compute.request()
         yield request
         try:
-            yield from _barrier(device.health)
+            yield from device.health.barrier()
             yield device.engine.timeout(device.device_copy_time(self.src.nbytes))
         finally:
             device.compute.release(request)
@@ -201,11 +137,11 @@ class KernelCommand(Command):
     def run(self, queue) -> Generator:
         device = queue.device
         self.kernel.check_device(device)
-        yield from _barrier(device.health)
+        yield from device.health.barrier()
         request = device.compute.request()
         yield request
         try:
-            yield from _barrier(device.health)
+            yield from device.health.barrier()
             yield device.engine.timeout(device.spec.kernel_launch_overhead)
             began = device.engine.now
             result = yield from run_kernel(
@@ -268,7 +204,7 @@ class CallbackCommand(Command):
         device = queue.device
         # Cancelled callbacks must not run their side effects: a status
         # message from a lost device never arrives (section 5.3 analogue).
-        yield from _barrier(device.health)
+        yield from device.health.barrier()
         if self.engine_name is not None:
             resource = getattr(device, self.engine_name)
             request = resource.request()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Generator, Tuple
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from repro.hw.memory import DeviceMemory
 from repro.hw.specs import DeviceKind, DeviceSpec
 from repro.ocl.buffer import Buffer
 from repro.ocl.enums import MemFlag
-from repro.ocl.health import DeviceHealth
+from repro.ocl.health import DeviceHealth, DeviceLostError
 from repro.sim.core import Engine
 from repro.sim.resources import Resource
 
@@ -66,6 +66,61 @@ class Device:
     def transfer_time(self, nbytes: float) -> float:
         """Seconds to move ``nbytes`` between host and this device."""
         return self.link.transfer_time(nbytes)
+
+    def transfer(self, direction: str, nbytes: int, track: str,
+                 describe: dict) -> Generator:
+        """Occupy the ``direction`` DMA engine for one ``nbytes`` transfer.
+
+        The one fault-aware transfer, for runtime commands and serve DMA
+        stages alike: a stall parks it at its start, each injected
+        transient failure costs half a transfer (where the error surfaces)
+        and is retried after exponential backoff, and a failure past
+        ``health.max_transfer_retries`` retries declares the device lost
+        (:class:`DeviceLostError`).  Retries are traced as ``fault_retry``
+        on ``track`` with ``describe``'s fields.  The caller moves the data
+        *after* this returns, so a retried transfer never exposes
+        partially-moved data.
+        """
+        engine = self.engine
+        health = self.health
+        if not health.ok:
+            yield from health.barrier()
+        resource = getattr(self, direction)
+        request = resource.request()
+        yield request
+        try:
+            attempt = 0
+            while True:
+                if not health.ok:
+                    yield from health.barrier()
+                if health.take_transfer_fault(direction):
+                    attempt += 1
+                    # The failure surfaces partway through the transfer;
+                    # that bus time is wasted either way.
+                    yield engine.timeout(self.transfer_time(nbytes) / 2.0)
+                    if attempt > health.max_transfer_retries:
+                        health.declare_lost(
+                            f"{direction} transfer failed "
+                            f"{attempt} times (retries exhausted)"
+                        )
+                        raise DeviceLostError(
+                            f"{self.name} lost ({health.lost_reason})"
+                        )
+                    health.transfer_retries += 1
+                    backoff = health.retry_backoff * (2 ** (attempt - 1))
+                    engine.trace(
+                        "fault_retry", kind="transfer", queue=track,
+                        device=self.name, direction=direction,
+                        attempt=attempt, backoff=backoff, **describe,
+                    )
+                    yield engine.timeout(backoff)
+                    continue
+                yield engine.timeout(self.transfer_time(nbytes))
+                health.beat()
+                self.stats[f"bytes_{direction}"] += nbytes
+                return
+        finally:
+            resource.release(request)
 
     def device_copy_time(self, nbytes: float) -> float:
         """Seconds for an on-device buffer-to-buffer copy (read + write)."""

@@ -12,8 +12,9 @@ mutates it from wrapper processes; the command layer consults it:
   :class:`DeviceLostError`, which the queue turns into a *cancelled*
   command event so nothing waits on it forever;
 * an injected **transient transfer fault** makes the next enqueued H2D/D2H
-  attempts fail mid-flight; the transfer commands retry with bounded
-  exponential backoff before escalating to device loss.
+  attempts fail mid-flight; :meth:`~repro.ocl.device.Device.transfer`
+  retries with bounded exponential backoff before escalating to device
+  loss.
 
 ``last_progress`` is a heartbeat the executor and queues refresh on every
 completed wave/command; the runtime watchdog reads it to tell "slow" from
@@ -55,9 +56,9 @@ class DeviceHealth:
         self.last_progress_ticks = 0
         #: injected transient failures still pending, per DMA direction
         self._pending_transfer_faults: Dict[str, int] = {"h2d": 0, "d2h": 0}
-        #: bounded-retry policy for injected transfer failures: the runtime
-        #: sets the retry budget from its config; the backoff before the
-        #: first retry doubles per attempt
+        #: bounded-retry policy for injected transfer failures, the one
+        #: budget every transfer of the device obeys; the backoff before
+        #: the first retry doubles per attempt
         self.max_transfer_retries = 4
         self.retry_backoff = 2e-5
         #: transfer attempts retried after an injected failure
@@ -136,6 +137,14 @@ class DeviceHealth:
                 self.engine.timeout(remaining),
                 self._lost_gate.wait(),
             ])
+
+    def barrier(self):
+        """Generator: wait out any stall; raise :class:`DeviceLostError`
+        if the device is (or becomes) lost."""
+        if (yield from self.wait_ready()):
+            raise DeviceLostError(
+                f"{self.device_name} lost ({self.lost_reason})"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("lost" if self.lost

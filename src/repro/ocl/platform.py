@@ -54,6 +54,16 @@ class Platform:
     def cpu(self) -> Device:
         return self.device_by_kind(DeviceKind.CPU)
 
+    @property
+    def cpu_path_index(self) -> int:
+        """Index of the CPU-path device: the last CPU-kind device, or the
+        last device outright on pure-GPU sets such as ``big.little``."""
+        index = len(self.devices) - 1
+        for i, device in enumerate(self.devices):
+            if device.kind is DeviceKind.CPU:
+                index = i
+        return index
+
     def create_context(self, devices: Optional[List[Device]] = None) -> "Context":
         return Context(self, devices or list(self.devices))
 

@@ -6,7 +6,7 @@ optional fault schedule — so a scenario is a value that can be stored in
 a fuzzer config, shrunk, or replayed.  :func:`run_serve` executes it:
 build the machine, measure the app profiles, attach the
 :class:`~repro.check.monitor.CoherenceMonitor`, optionally install the
-PR 2 fault injector, drive the workload to completion, and distill a
+fault injector, drive the workload to completion, and distill a
 :class:`ServeReport` with per-tenant tail latencies, throughput, shed
 rate and SLO attainment.
 
@@ -59,7 +59,7 @@ class ServeConfig:
     machine: str = "default"
     max_queue_depth: int = 64
     max_inflight: int = 4
-    #: arm the PR 2 fault injector with FaultSchedule.seeded(fault_seed, ...)
+    #: arm the fault injector with FaultSchedule.seeded(fault_seed, ...)
     fault_seed: Optional[int] = None
     fault_n: int = 3
     #: same-instant interleave jitter seed (schedule-space fuzzing)
@@ -91,6 +91,8 @@ class ServeReport:
     #: :class:`~repro.check.monitor.Violation` objects (stringified in JSON)
     violations: List[object] = field(default_factory=list)
     checks: int = 0
+    #: typed events the run recorded (retained or not)
+    events: int = 0
     faults_injected: int = 0
 
     @property
@@ -228,6 +230,7 @@ def run_serve(config: ServeConfig,
         max_inflight=config.max_inflight,
         weights={t.name: t.weight for t in tenants},
     )
+    injector = None
     if config.fault_seed is not None:
         horizon = max(config.requests / rate, 1e-3)
         schedule = FaultSchedule.seeded(
@@ -236,7 +239,7 @@ def run_serve(config: ServeConfig,
             n=config.fault_n,
             devices=[d.name for d in server.platform.devices],
         )
-        install_faults(server, schedule)
+        injector = install_faults(server.platform, schedule)
 
     _done, records = spawn_workload(
         server, tenants,
@@ -306,5 +309,6 @@ def run_serve(config: ServeConfig,
         digest=_digest(records),
         violations=list(monitor.violations),
         checks=monitor.checks,
-        faults_injected=server.stats.extra["faults_injected"],
+        events=recorder.recorded,
+        faults_injected=len(injector.applied) if injector else 0,
     )

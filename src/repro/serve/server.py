@@ -25,10 +25,10 @@ scaled down to the paper's node:
   then per-device D2H DMA.  Stage durations come from the job's
   :class:`~repro.serve.profile.AppProfile`; device health is consulted
   live, so losses shrink the surviving work share, stalls park the
-  compute stage, link degradation stretches DMA and injected transfer
-  faults trigger bounded retry/backoff — the PR 2 injector composes
-  unchanged (the server quacks like a runtime: ``engine``, ``platform``,
-  ``gpu_device``/``cpu_device``, ``stats.extra``).
+  compute stage, link degradation stretches DMA, and a DMA stage prices
+  stalls and injected transfer faults through the runtime's own
+  :meth:`~repro.ocl.device.Device.transfer`.  The fault injector acts on
+  the server's ``platform``, as it does on a runtime's.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from collections import deque
 from typing import Deque, Dict, Mapping, Optional, Tuple
 
 from repro.hw.machine import Machine
+from repro.ocl.health import DeviceLostError
 from repro.ocl.platform import Platform
 from repro.serve.job import Job, JobRecord, JobRejected
 from repro.serve.profile import AppProfile
@@ -65,8 +66,6 @@ class ServerStats:
         self.counts: Dict[str, Dict[str, int]] = {}
         #: per-tenant high-water queue depth
         self.peak_depth: Dict[str, int] = {}
-        #: injector compatibility: ``server.stats.extra["faults_injected"]``
-        self.extra = {"faults_injected": 0}
 
     def _count(self, name: str, tenant: str) -> None:
         counts = self.counts.get(tenant)
@@ -111,21 +110,6 @@ class Server:
         self._dispatcher = self.engine.process(
             self._dispatch_loop(), name="serve:dispatcher"
         )
-
-    # -- injector compatibility (the server quacks like a runtime) ---------
-    @property
-    def gpu_device(self):
-        try:
-            return self.platform.gpu
-        except LookupError:
-            return self.platform.devices[0]
-
-    @property
-    def cpu_device(self):
-        try:
-            return self.platform.cpu
-        except LookupError:
-            return self.platform.devices[-1]
 
     # -- queue introspection ------------------------------------------------
     def queue_depth(self, tenant: str) -> int:
@@ -232,35 +216,14 @@ class Server:
     def _alive_devices(self):
         return [d for d in self.platform.devices if not d.health.lost]
 
-    def _dma(self, device, direction: str, nbytes: int):
-        """One DMA stage on ``device``'s ``h2d``/``d2h`` lane, honouring
-        injected transfer faults with the runtime's bounded retry policy."""
-        engine = self.engine
-        lane = getattr(device, direction)
-        request = lane.request()
-        yield request
+    def _dma(self, device, direction: str, nbytes: int, job_id: int):
+        """One DMA stage on ``device``, priced like any runtime transfer;
+        a loss drops the device's share of the job instead of failing it."""
         try:
-            attempt = 0
-            while not device.health.lost:
-                if device.health.take_transfer_fault(direction):
-                    attempt += 1
-                    device.health.transfer_retries += 1
-                    engine.trace("fault_retry", kind="transfer",
-                                 device=device.name, direction=direction,
-                                 attempt=attempt)
-                    if attempt > device.health.max_transfer_retries:
-                        device.health.declare_lost(
-                            f"{direction} retries exhausted")
-                        break
-                    yield engine.timeout(
-                        device.health.retry_backoff * (2 ** (attempt - 1)))
-                    continue
-                yield engine.timeout(device.transfer_time(nbytes))
-                device.stats[f"bytes_{direction}"] += nbytes
-                device.health.beat()
-                break
-        finally:
-            lane.release(request)
+            yield from device.transfer(direction, nbytes, "serve",
+                                       {"job_id": job_id})
+        except DeviceLostError:
+            pass
 
     def _job_pipeline(self, record: JobRecord):
         engine = self.engine
@@ -275,7 +238,8 @@ class Server:
             # lane serializes its own transfers across jobs.
             transfers = [
                 engine.process(
-                    self._dma(d, "h2d", profile.h2d_bytes.get(d.name, 0)),
+                    self._dma(d, "h2d", profile.h2d_bytes.get(d.name, 0),
+                              job.job_id),
                     name=f"serve:h2d:{job.job_id}")
                 for d in self._alive_devices()
                 if profile.h2d_bytes.get(d.name, 0) > 0
@@ -313,7 +277,8 @@ class Server:
             # D2H DMA of the results.
             transfers = [
                 engine.process(
-                    self._dma(d, "d2h", profile.d2h_bytes.get(d.name, 0)),
+                    self._dma(d, "d2h", profile.d2h_bytes.get(d.name, 0),
+                              job.job_id),
                     name=f"serve:d2h:{job.job_id}")
                 for d in self._alive_devices()
                 if profile.d2h_bytes.get(d.name, 0) > 0

@@ -68,6 +68,13 @@ class TestServeAxis:
         assert not result.failed, result.violations
         assert result.checks > 0
 
+    def test_serve_seed_counts_its_events(self):
+        """A serve run keeps no events in memory, yet its seed reports
+        how many it recorded."""
+        result = run_config(ScheduleFuzzer(serve=True).config(0))
+        assert result.events > 0
+        assert "events=0 " not in result.summary()
+
     def test_summary_labels_serve_runs(self):
         config = ScheduleFuzzer(serve=True).config(0)
         result = CheckResult(config=config, outcome="ok", correct=True)

@@ -30,7 +30,7 @@ def _gemm(faults=None):
     machine = build_machine(trace=True)
     runtime = FluidiCLRuntime(machine)
     if faults is not None:
-        install_faults(runtime, faults)
+        install_faults(runtime.platform, faults)
     return app, runtime, machine
 
 
@@ -214,7 +214,7 @@ class TestSupersededReadBack:
             NDRange(n, 16), {"x": x, "y": y, "alpha": 3.0})
         assert (a.path, b.path) == ("merged", "cpu-complete")
         if loss_after is not None:
-            install_faults(runtime, FaultSchedule.single(
+            install_faults(runtime.platform, FaultSchedule.single(
                 FaultKind.DEVICE_LOSS, at=machine.now + loss_after,
                 device=runtime.gpu_device.name))
         refreshes = runtime.stats.extra["input_refreshes"]

@@ -49,7 +49,7 @@ def run_app_with_loss(app_name, device, preset=None, at=None):
     machine = (build_machine(preset=preset, trace=True) if preset
                else build_machine(trace=True))
     runtime = FluidiCLRuntime(machine)
-    install_faults(runtime, FaultSchedule.single(
+    install_faults(runtime.platform, FaultSchedule.single(
         FaultKind.DEVICE_LOSS, at=at, device=device))
     app = make_app(app_name, "test")
     result = app.execute(runtime, check=True)
@@ -132,7 +132,7 @@ class TestNDeviceFrontLoss:
         machine = build_machine(preset="cpu+2gpu", trace=True)
         runtime = FluidiCLRuntime(machine)
         strike = midrun_strike("gesummv", preset="cpu+2gpu")
-        install_faults(runtime, FaultSchedule([
+        install_faults(runtime.platform, FaultSchedule([
             FaultSpec(FaultKind.DEVICE_LOSS, at=strike,
                       device="Tesla C2070 #2"),
             FaultSpec(FaultKind.DEVICE_LOSS, at=strike * 1.2,
@@ -164,7 +164,7 @@ class TestIrregularFrontLoss:
         at = midrun_strike(app_name, preset="cpu+2gpu")
         machine = build_machine(preset="cpu+2gpu", trace=True)
         runtime = FluidiCLRuntime(machine)
-        install_faults(runtime, FaultSchedule.single(
+        install_faults(runtime.platform, FaultSchedule.single(
             FaultKind.DEVICE_LOSS, at=at, device=victim))
         app = make_app(app_name, "test")
         inputs = app.fresh_inputs()

@@ -19,12 +19,16 @@ LOCAL = 16
 ALPHA = 2.5
 
 
-def run_scale(schedule=None, config=None, gpu_eff=0.5, cpu_eff=0.5, n=N):
+def run_scale(schedule=None, config=None, gpu_eff=0.5, cpu_eff=0.5, n=N,
+              max_transfer_retries=None):
     """One scale-kernel run; returns (machine, runtime, y, expected)."""
     machine = build_machine(trace=True)
     runtime = FluidiCLRuntime(machine, config=config)
+    if max_transfer_retries is not None:
+        for device in runtime.platform.devices:
+            device.health.max_transfer_retries = max_transfer_retries
     if schedule is not None:
-        install_faults(runtime, schedule)
+        install_faults(runtime.platform, schedule)
     spec = make_scale_kernel(n, LOCAL, gpu_eff=gpu_eff, cpu_eff=cpu_eff,
                              work_scale=32.0)
     x = np.arange(n, dtype=np.float32)
@@ -115,7 +119,7 @@ class TestTransientTransferFaults:
         machine, runtime, y, expected = run_scale(
             FaultSchedule.single(FaultKind.TRANSFER_FAULT, at=0.0,
                                  device="gpu", direction="h2d", count=5),
-            config=FluidiCLConfig(transfer_max_retries=1))
+            max_transfer_retries=1)
         # The GPU is declared lost, the CPU finishes the kernel alone.
         np.testing.assert_array_equal(y, expected)
         assert runtime.gpu_device.health.lost
@@ -162,7 +166,7 @@ class TestWatchdog:
         machine = build_machine(trace=True)
         runtime = FluidiCLRuntime(
             machine, FluidiCLConfig(watchdog_timeout=1e-4))
-        install_faults(runtime, FaultSchedule.single(
+        install_faults(runtime.platform, FaultSchedule.single(
             FaultKind.DEVICE_STALL, at=2.9e-4, device="gpu", duration=10.0))
         app = make_app("gesummv", "test")
         result = app.execute(runtime, check=True)

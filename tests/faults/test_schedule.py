@@ -33,7 +33,7 @@ class TestFaultSpecValidation:
         schedule = FaultSchedule(
             [FaultSpec(kind=FaultKind.DEVICE_LOSS, at=0.0, device="tpu")])
         with pytest.raises(ValueError, match="unknown device"):
-            install_faults(runtime, schedule)
+            install_faults(runtime.platform, schedule)
 
     def test_stall_needs_positive_duration(self):
         with pytest.raises(ValueError):

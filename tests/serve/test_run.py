@@ -115,21 +115,21 @@ PINNED = {
              max_queue_depth=32, max_inflight=2, fault_seed=2, fault_n=3),
         {
             "tenant0": ("bicg", "interactive", 162.0, 124.0, 38.0, 124.0, 0.0,
-                        15.50706776161401, 21.693627429939152,
-                        22.025638994354612,
-                        1495.8637904010068, 0.2345679012345679,
-                        0.5967741935483871, 32.0),
+                        15.651210561427268, 21.420761658711193,
+                        21.67180843291477,
+                        1491.4869805760973, 0.2345679012345679,
+                        0.5806451612903226, 32.0),
             "tenant1": ("gesummv", "interactive", 62.0, 62.0, 0.0, 42.0, 20.0,
-                        6.118209451674006, 11.954215588550293,
-                        14.434958180843253,
-                        506.6635419100184, 0.0, 1.0, 19.0),
+                        6.262352251487265, 12.098358388363552,
+                        14.579100980656511,
+                        505.18107406609744, 0.0, 1.0, 20.0),
             "tenant2": ("scan", "batch", 76.0, 76.0, 0.0, 76.0, 0.0,
-                        21.45628986934689, 31.790813013266117,
-                        33.091404489057055,
-                        916.8197425038428, 0.0, 1.0, 30.0),
+                        21.600432669160146, 32.03407141307938,
+                        33.33466288887032,
+                        914.1371816434144, 0.0, 1.0, 30.0),
         },
         (300.0, 262.0, 38.0, 242.0, 20.0, 0.12666666666666668,
-         2919.347074814868, 0.7933884297520661),
+         2910.8052362856088, 0.7851239669421488),
     ),
     "closed-loop": (
         dict(seed=2, requests=300, n_tenants=3, arrival="closed",

@@ -1,13 +1,18 @@
 """Dispatcher, admission-control and pipeline tests for the serving core."""
 
+import numpy as np
 import pytest
 
-from repro.faults.schedule import FaultKind, FaultSchedule
+from repro.core.runtime import FluidiCLRuntime
+from repro.faults.schedule import FaultKind, FaultSchedule, FaultSpec
 from repro.faults.injector import install_faults
+from repro.hw.machine import build_machine
+from repro.ocl.platform import Platform
 from repro.serve.job import JobRejected
+from repro.serve.profile import AppProfile
 from repro.sim.core import SimError
 
-from tests.serve.conftest import GPU, make_job, make_server, toy_profile
+from tests.serve.conftest import GPU, make_job, make_server
 
 
 def drain(machine, server):
@@ -174,17 +179,81 @@ class TestPipeline:
 
     def test_injector_composes_against_server(self, serve_machine,
                                               toy_profiles):
-        """The PR 2 injector drives the server like it drives a runtime."""
+        """The injector drives the server's platform like a runtime's."""
         schedule = FaultSchedule.single(
             FaultKind.DEVICE_STALL, at=1e-5, device="gpu", duration=5e-4)
         server = make_server(serve_machine, toy_profiles)
-        install_faults(server, schedule)
+        injector = install_faults(server.platform, schedule)
         record = server.submit(make_job(0))
         drain(serve_machine, server)
         assert record.outcome == "done"
-        assert server.stats.extra["faults_injected"] == 1
+        assert [spec.kind for spec in injector.applied] == [
+            FaultKind.DEVICE_STALL]
         # the stall parked the compute stage: latency includes the freeze
         assert record.latency > 5e-4
+
+
+#: bytes of the one H2D transfer the transfer-path tests compare
+NBYTES = 1 << 20
+
+
+def h2d_only_server(machine):
+    """A server whose one job is a bare GPU H2D stage: no host stage, no
+    compute time, no D2H, so the job's latency is that stage's time."""
+    profile = AppProfile(
+        app="toy", size=64, machine="default", elapsed_seconds=0.0,
+        compute_seconds=0.0, host_seconds=0.0,
+        h2d_bytes={GPU: NBYTES}, d2h_bytes={}, fractions={GPU: 1.0})
+    return make_server(machine, {("toy", 64): profile})
+
+
+def runtime_write_seconds(h2d_faults: int) -> tuple:
+    """Simulated seconds and transfer retries of one NBYTES write command
+    to the GPU with ``h2d_faults`` injected transfer failures pending."""
+    machine = build_machine()
+    platform = Platform(machine)
+    gpu = platform.devices[0]
+    if h2d_faults:
+        gpu.health.inject_transfer_faults("h2d", h2d_faults)
+    context = platform.create_context()
+    buffer = context.create_buffer(gpu, (NBYTES // 4,), np.float32)
+    event = context.create_queue(gpu).enqueue_write_buffer(
+        buffer, np.zeros(NBYTES // 4, np.float32))
+    machine.engine.run()
+    return event.finished - event.started, gpu.health.transfer_retries
+
+
+class TestOneTransferPath:
+    """A serve DMA stage and a runtime transfer are one routine
+    (``Device.transfer``), so the same faults cost them the same."""
+
+    @pytest.mark.parametrize("h2d_faults", [0, 2, 5])
+    def test_serve_h2d_stage_costs_what_a_runtime_write_costs(
+            self, h2d_faults):
+        """2 faults retry within the budget of 4; 5 exhaust it, and the
+        loss ends both transfers at the same instant."""
+        seconds, retries = runtime_write_seconds(h2d_faults)
+        machine = build_machine()
+        server = h2d_only_server(machine)
+        gpu = server.platform.device_by_name(GPU)
+        if h2d_faults:
+            gpu.health.inject_transfer_faults("h2d", h2d_faults)
+        record = server.submit(make_job(0))
+        drain(machine, server)
+        assert record.latency == seconds
+        assert gpu.health.transfer_retries == retries
+        assert gpu.health.lost == (h2d_faults > 4)
+
+    def test_serve_dma_stage_waits_out_a_stall(self):
+        machine = build_machine()
+        server = h2d_only_server(machine)
+        gpu = server.platform.device_by_name(GPU)
+        gpu.health.stall(5e-4)
+        record = server.submit(make_job(0))
+        drain(machine, server)
+        assert record.outcome == "done"
+        assert record.latency == pytest.approx(
+            5e-4 + gpu.transfer_time(NBYTES), rel=1e-12)
 
 
 class TestValidation:
@@ -194,18 +263,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_server(serve_machine, toy_profiles, max_inflight=0)
 
-    def test_gpu_cpu_device_shorthands(self, serve_machine, toy_profiles):
-        server = make_server(serve_machine, toy_profiles)
-        assert server.gpu_device.name == GPU
-        assert server.cpu_device.name == "Xeon W3550"
 
-    def test_shorthands_fall_back_without_the_kind(self, toy_profiles):
-        """big.little has no CPU-kind device: the injector shorthands
-        resolve to the device-list endpoints instead of raising."""
-        from repro.hw.machine import build_machine
+class TestInjectorShorthands:
+    """"gpu" is device 0, the anchor; "cpu" is the runtime's CPU-path
+    device, the last CPU-kind device or else the last device (big.little
+    has no CPU-kind device)."""
 
-        machine = build_machine(preset="big.little")
-        profiles = {("toy", 64): toy_profile()}
-        server = make_server(machine, profiles)
-        assert server.gpu_device is server.platform.devices[0]
-        assert server.cpu_device is server.platform.devices[-1]
+    @pytest.mark.parametrize("preset, gpu, cpu", [
+        ("default", GPU, "Xeon W3550"),
+        ("big.little", "Tesla C2070 big", "Tesla C2070 little"),
+    ], ids=["default", "big.little"])
+    def test_gpu_cpu_shorthands(self, toy_profiles, preset, gpu, cpu):
+        machine = build_machine(preset=preset)
+        server = make_server(machine, toy_profiles)
+        install_faults(server.platform, FaultSchedule([
+            FaultSpec(FaultKind.DEVICE_LOSS, at=0.0, device="gpu"),
+            FaultSpec(FaultKind.DEVICE_STALL, at=0.0, device="cpu",
+                      duration=1.0),
+        ]))
+        machine.engine.run(until=1e-6)
+        devices = server.platform.devices
+        assert [d.name for d in devices if d.health.lost] == [gpu]
+        assert [d.name for d in devices if d.health.stalled] == [cpu]
+        runtime = FluidiCLRuntime(build_machine(preset=preset))
+        assert (runtime.gpu_device.name, runtime.cpu_device.name) \
+            == (gpu, cpu)
