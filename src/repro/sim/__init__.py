@@ -24,7 +24,6 @@ from repro.sim.core import (
     Engine,
     Event,
     Interrupt,
-    Phase,
     Process,
     SimDeadlockError,
     SimError,
@@ -50,7 +49,6 @@ __all__ = [
     "Gate",
     "Interrupt",
     "Latch",
-    "Phase",
     "Process",
     "Resource",
     "SimDeadlockError",

@@ -1,18 +1,15 @@
 """Core of the discrete-event engine: clock, events and processes.
 
 Simulated time is an **integer** — fixed-point microseconds, see
-:mod:`repro.sim.timebase` — and the queue is keyed by
-``(time_ticks, phase)`` so same-instant draining follows an explicit
-phase order (:class:`Phase`: COMPLETE < WAKE < LAUNCH < TRACE) instead of
-accidental ties; within one ``(instant, phase)`` bucket events drain FIFO,
-or by a seeded tie under interleave jitter.  ``Engine.now`` stays a float
+:mod:`repro.sim.timebase` — and the queue is keyed by that tick instant
+alone: events at one instant drain FIFO, in schedule order, or by a
+seeded tie under interleave jitter.  ``Engine.now`` stays a float
 property for every consumer; the float is derived from the integer clock
 at read time and cached, so no float arithmetic ever advances the clock.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import heapq
 import itertools
@@ -33,7 +30,6 @@ __all__ = [
     "SimError",
     "SimDeadlockError",
     "Interrupt",
-    "Phase",
     "Event",
     "Timeout",
     "Process",
@@ -62,30 +58,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class Phase(enum.IntEnum):
-    """Same-instant drain order; lower phases process first.
-
-    * ``COMPLETE`` — completions of device-side work (command events):
-      frontiers advance and resources free before anything else reacts.
-    * ``WAKE`` — ordinary wakeups (timeouts, plain events, processes).
-    * ``LAUNCH`` — new work issued at this instant.
-    * ``TRACE`` — observability bookkeeping, after all semantic events.
-
-    The interleave jitter (:meth:`Engine.set_interleave_jitter`) perturbs
-    ties only *within* a phase — the phase itself is part of the queue key.
-    """
-
-    COMPLETE = 0
-    WAKE = 1
-    LAUNCH = 2
-    TRACE = 3
-
-
-_PHASE_BITS = 2
-_PHASE_WAKE = int(Phase.WAKE)
-_PHASE_MAX = int(Phase.TRACE)
-
-
 class Event:
     """A one-shot occurrence in simulated time.
 
@@ -97,10 +69,6 @@ class Event:
 
     __slots__ = ("engine", "callbacks", "_value", "_ok", "_triggered",
                  "_processed", "name")
-
-    #: same-instant drain phase; subclasses override (a class attribute so
-    #: per-event storage stays slot-only)
-    phase = _PHASE_WAKE
 
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
@@ -234,7 +202,7 @@ class Timeout(Event):
         else:
             dt = 0
         if dt:
-            key = (engine._now_ticks + dt) << _PHASE_BITS | _PHASE_WAKE
+            key = engine._now_ticks + dt
             buckets = engine._buckets
             bucket = buckets.get(key)
             if bucket is None:
@@ -258,8 +226,7 @@ class Timeout(Event):
         self._value = value
         self._processed = False
         self._delay = from_ticks(delay_ticks)
-        key = (engine._now_ticks + delay_ticks) << _PHASE_BITS | _PHASE_WAKE
-        engine._push(key, self)
+        engine._push(engine._now_ticks + delay_ticks, self)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -464,8 +431,8 @@ class _TieBucket(list):
 
     :meth:`append` draws the event's seeded tie when it is pushed and
     :meth:`popleft` returns the event with the least ``(tie, seq)``: the
-    same two calls the engine makes on a FIFO bucket, so the drain loops
-    keep one pop path.
+    same two calls the engine makes on a FIFO bucket, so the drain loop
+    keeps one pop path.
     """
 
     __slots__ = ("_draw", "_seq")
@@ -484,9 +451,9 @@ class _TieBucket(list):
 class _JitterLane(list):
     """The immediate lane under interleave jitter.
 
-    It files each zero-delay wakeup into the current instant's WAKE
-    bucket, where the wakeup draws its tie like every other push, and so
-    stays empty: a drain loop's ``if imm`` test never takes it.
+    It files each zero-delay wakeup into the current instant's bucket,
+    where the wakeup draws its tie like every other push, and so stays
+    empty: the drain loop's ``if imm`` test never takes it.
     """
 
     __slots__ = ("_engine",)
@@ -496,21 +463,20 @@ class _JitterLane(list):
 
     def append(self, event: Event) -> None:
         engine = self._engine
-        engine._file(engine._now_ticks << _PHASE_BITS | _PHASE_WAKE, event)
+        engine._file(engine._now_ticks, event)
 
 
 class Engine:
-    """The event loop: a *calendar* keyed ``(time_ticks, phase)``.
+    """The event loop: a *calendar* keyed by the integer tick instant.
 
-    The time/phase pair is packed into one integer key
-    (``ticks << 2 | phase``).  The calendar is a dict of per-key buckets
-    plus a small heap of the distinct keys, and an *immediate lane* for
-    WAKE events at the current instant (the zero-delay hot path).  Pushes
-    and pops are O(1) in the common case instead of O(log n) tuple-compare
-    heap operations.  A bucket is a FIFO deque, so schedule order within
-    an ``(instant, phase)`` pair is structural; interleave jitter swaps in
-    seeded-tie buckets and a lane that files into them
-    (:meth:`set_interleave_jitter`).
+    The calendar is a dict of per-instant buckets plus a small heap of the
+    distinct instants, and an *immediate lane* for events at the current
+    instant (the zero-delay hot path).  Pushes and pops are O(1) in the
+    common case instead of O(log n) tuple-compare heap operations.  A
+    bucket is a FIFO deque, so schedule order within an instant is
+    structural; interleave jitter swaps in seeded-tie buckets and a lane
+    that files into them (:meth:`set_interleave_jitter`).  One drain loop
+    (:meth:`_drain`) serves :meth:`run` and :meth:`run_for`.
     """
 
     def __init__(self, tracer=None):
@@ -518,12 +484,12 @@ class Engine:
         self._now_ticks: int = 0
         #: cached float view of the clock; None when stale
         self._now_f: Optional[float] = 0.0
-        #: WAKE-phase events at the *current* instant: the succeed()/
-        #: zero-delay fast lane (push = append, pop = popleft)
+        #: events at the *current* instant: the succeed()/zero-delay fast
+        #: lane (push = append, pop = popleft)
         self._imm = deque()
-        #: key -> bucket of events, FIFO within one (instant, phase) pair
+        #: tick instant -> bucket of events, FIFO within the instant
         self._buckets: dict = {}
-        #: min-heap of the distinct keys present in ``_buckets``
+        #: min-heap of the distinct instants present in ``_buckets``
         self._bucket_keys: list = []
         #: retired buckets, reused to avoid per-bucket allocation
         self._bucket_free: list = []
@@ -586,16 +552,16 @@ class Engine:
     # -- scheduling ---------------------------------------------------------
     def set_interleave_jitter(self, rng) -> None:
         """Install a seeded RNG (``random.Random``) that randomizes the
-        processing order of *same-instant, same-phase* events.
+        processing order of *same-instant* events.
 
-        Without jitter, simultaneous same-phase events process in schedule
-        (FIFO) order — one fixed interleaving out of the many a real
-        multi-queue OpenCL runtime could exhibit.  The jitter draws a
-        tie-break key per scheduled event, exploring
-        alternative-but-legal interleavings deterministically (same seed,
-        same order).  Event *times* are never perturbed, and the
-        :class:`Phase` order is never violated: the tie-break only
-        reorders events within one ``(instant, phase)`` bucket.
+        Without jitter, simultaneous events process in schedule (FIFO)
+        order — one fixed interleaving out of the many a real multi-queue
+        OpenCL runtime could exhibit.  The jitter draws a tie-break key per
+        scheduled event, exploring alternative-but-legal interleavings
+        deterministically (same seed, same order).  Event *times* are never
+        perturbed: the tie-break only reorders events within one instant's
+        bucket, and zero-delay wakeups join the current instant's bucket to
+        draw theirs.
 
         Install it before anything is scheduled: the tie is drawn when an
         event is pushed, so an already-queued event has none, and a
@@ -610,39 +576,31 @@ class Engine:
         self._bucket_free.clear()  # retired FIFO deques would draw no tie
         self._imm = _JitterLane(self)
 
-    def _push(self, key: int, event: Event) -> None:
-        """Enqueue ``event`` under a packed ``ticks << 2 | phase`` key."""
-        if key == self._now_ticks << _PHASE_BITS | _PHASE_WAKE:
+    def _push(self, ticks: int, event: Event) -> None:
+        """Enqueue ``event`` at the tick instant ``ticks``."""
+        if ticks == self._now_ticks:
             self._imm.append(event)
         else:
-            self._file(key, event)
+            self._file(ticks, event)
 
-    def _file(self, key: int, event: Event) -> None:
-        """File ``event`` into the calendar bucket for ``key``."""
+    def _file(self, ticks: int, event: Event) -> None:
+        """File ``event`` into the calendar bucket for instant ``ticks``."""
         buckets = self._buckets
-        bucket = buckets.get(key)
+        bucket = buckets.get(ticks)
         if bucket is None:
             free = self._bucket_free
             bucket = free.pop() if free else self._new_bucket()
-            buckets[key] = bucket
-            _heappush(self._bucket_keys, key)
+            buckets[ticks] = bucket
+            _heappush(self._bucket_keys, ticks)
         bucket.append(event)
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        ticks = self._now_ticks
         if delay:
-            ticks = self._now_ticks + self.delay_ticks(delay)
-        else:
-            ticks = self._now_ticks
-        self._push(ticks << _PHASE_BITS | event.phase, event)
+            ticks += self.delay_ticks(delay)
+        self._push(ticks, event)
 
-    # -- run loops ------------------------------------------------------------
-    # The loops below inline the queue pop (no per-event method dispatch):
-    # at hundreds of thousands of events per run, the dispatch overhead
-    # dominated the harness profile.  The float view of the clock is
-    # invalidated only when the tick instant actually changes.  On an
-    # exact key tie the calendar bucket drains before the immediate lane:
-    # its events were scheduled earlier.
-
+    # -- running ------------------------------------------------------------
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
@@ -651,106 +609,75 @@ class Engine:
         triggers; returns its value, raising if it failed).
         """
         if until is None:
-            buckets = self._buckets
-            keys = self._bucket_keys
-            free = self._bucket_free
-            imm = self._imm
-            pop_key = _heappop
-            while True:
-                if imm:
-                    if (not keys or keys[0]
-                            > self._now_ticks << _PHASE_BITS | _PHASE_WAKE):
-                        imm.popleft()._process()
-                        continue
-                elif not keys:
-                    return None
-                key = keys[0]
-                ticks = key >> _PHASE_BITS
-                if ticks != self._now_ticks:
-                    self._now_ticks = ticks
-                    self._now_f = None
-                bucket = buckets[key]
-                event = bucket.popleft()
-                if not bucket:
-                    pop_key(keys)
-                    del buckets[key]
-                    free.append(bucket)
-                event._process()
-        if isinstance(until, Event):
-            return self._run_until_event(until)
-        return self._run_until_time(float(until))
+            self._drain()
+        elif isinstance(until, Event):
+            self._drain(stop=until)
+            if not until.ok:
+                raise until.value
+            return until.value
+        else:
+            self._drain(deadline=to_ticks(float(until)))
+        return None
 
     def run_for(self, delay: float) -> None:
         """Run until ``delay`` seconds from now (exact tick arithmetic)."""
-        self._run_until_ticks(self._now_ticks + self.delay_ticks(delay))
+        self._drain(deadline=self._now_ticks + self.delay_ticks(delay))
 
-    def _run_until_event(self, event: Event) -> Any:
+    def _drain(self, stop: Optional[Event] = None,
+               deadline: Optional[int] = None) -> None:
+        """The one drain loop: process events in instant order.
+
+        It returns once ``stop`` has been processed, or when the next
+        event lies past the ``deadline`` tick (events at the deadline
+        instant still run; a deadline before ``now`` processes nothing),
+        or when the queue is empty, which raises :class:`SimDeadlockError`
+        if a ``stop`` event was given.  A deadline run then moves the
+        clock up to the deadline.
+
+        The queue pop is inlined (no per-event method dispatch): at
+        hundreds of thousands of events per run, the dispatch overhead
+        dominated the harness profile.  The float view of the clock is
+        invalidated only when the tick instant actually changes.  When the
+        calendar holds events at the current instant too, its bucket
+        drains before the immediate lane: its events were scheduled
+        earlier.
+        """
+        if stop is not None and stop._processed:
+            return
+        if deadline is not None and deadline < self._now_ticks:
+            return
         buckets = self._buckets
         keys = self._bucket_keys
         free = self._bucket_free
         imm = self._imm
         pop_key = _heappop
-        while not event._processed:
-            if imm and (not keys or keys[0]
-                        > self._now_ticks << _PHASE_BITS | _PHASE_WAKE):
-                head = imm.popleft()
-            elif keys:
-                key = keys[0]
-                ticks = key >> _PHASE_BITS
-                if ticks != self._now_ticks:
-                    self._now_ticks = ticks
-                    self._now_f = None
-                bucket = buckets[key]
-                head = bucket.popleft()
-                if not bucket:
-                    pop_key(keys)
-                    del buckets[key]
-                    free.append(bucket)
-            else:
-                raise SimDeadlockError(
-                    f"deadlock: ran out of events before {event!r} triggered"
-                )
-            head._process()
-        if not event.ok:
-            raise event.value
-        return event.value
-
-    def _run_until_time(self, deadline: float) -> None:
-        self._run_until_ticks(to_ticks(deadline))
-
-    def _run_until_ticks(self, deadline_ticks: int) -> None:
-        buckets = self._buckets
-        keys = self._bucket_keys
-        free = self._bucket_free
-        pop_key = _heappop
-        # Drain every phase at the deadline instant too.
-        deadline_key = deadline_ticks << _PHASE_BITS | _PHASE_MAX
-        imm = self._imm
         while True:
-            if imm and (not keys or keys[0]
-                        > self._now_ticks << _PHASE_BITS | _PHASE_WAKE):
-                if self._now_ticks << _PHASE_BITS | _PHASE_WAKE > deadline_key:
-                    break
+            if imm and (not keys or keys[0] > self._now_ticks):
                 event = imm.popleft()
             elif keys:
-                key = keys[0]
-                if key > deadline_key:
+                ticks = keys[0]
+                if deadline is not None and ticks > deadline:
                     break
-                ticks = key >> _PHASE_BITS
                 if ticks != self._now_ticks:
                     self._now_ticks = ticks
                     self._now_f = None
-                bucket = buckets[key]
+                bucket = buckets[ticks]
                 event = bucket.popleft()
                 if not bucket:
                     pop_key(keys)
-                    del buckets[key]
+                    del buckets[ticks]
                     free.append(bucket)
-            else:
+            elif stop is None:
                 break
+            else:
+                raise SimDeadlockError(
+                    f"deadlock: ran out of events before {stop!r} triggered"
+                )
             event._process()
-        if deadline_ticks > self._now_ticks:
-            self._now_ticks = deadline_ticks
+            if event is stop:
+                return
+        if deadline is not None and deadline > self._now_ticks:
+            self._now_ticks = deadline
             self._now_f = None
 
     # -- tracing --------------------------------------------------------------

@@ -281,3 +281,51 @@ class TestEngine:
         event = engine.event()
         with pytest.raises(ValueError):
             engine._schedule(event, delay=-0.5)
+
+    @pytest.mark.parametrize("drain", ["until-time", "run-for"])
+    def test_event_at_the_deadline_runs(self, engine, drain):
+        fired = []
+        for delay in (5.0, 6.0):
+            engine.timeout(delay).add_callback(
+                lambda _e: fired.append(engine.now))
+        if drain == "until-time":
+            engine.run(5.0)
+        else:
+            engine.run_for(5.0)
+        assert fired == [5.0]
+        assert engine.now == 5.0
+
+    def test_deadline_before_now_processes_nothing(self, engine):
+        engine.run(engine.timeout(5.0))
+        fired = []
+        engine.event().succeed().add_callback(lambda _e: fired.append("now"))
+        engine.timeout(1.0).add_callback(lambda _e: fired.append("later"))
+        engine.run(2.0)
+        assert fired == []
+        assert engine.now == 5.0
+
+    def test_run_for_zero_drains_the_current_instant(self, engine):
+        fired = []
+        first = engine.timeout(1.0)
+        engine.timeout(1.0).add_callback(lambda _e: fired.append("calendar"))
+        engine.timeout(2.0).add_callback(lambda _e: fired.append("later"))
+        engine.run(first)
+        engine.event().succeed().add_callback(
+            lambda _e: fired.append("immediate"))
+        engine.run_for(0)
+        assert fired == ["calendar", "immediate"]
+        assert engine.now == 1.0
+
+    def test_failed_stop_event_raises_its_exception(self, engine):
+        event = engine.event()
+        event.fail(KeyError("lost"), delay=1.0)
+        with pytest.raises(KeyError):
+            engine.run(event)
+        assert engine.now == 1.0
+
+    def test_stop_event_that_never_fires_drains_then_deadlocks(self, engine):
+        fired = []
+        engine.timeout(1.0).add_callback(lambda _e: fired.append(engine.now))
+        with pytest.raises(SimDeadlockError):
+            engine.run(engine.event())
+        assert fired == [1.0]
