@@ -143,8 +143,7 @@ class StaticPartitionRuntime(AbstractRuntime):
             kernel = Kernel(cpu_subkernel_variant(spec, wg_split=True), cpu_args)
             events.append(self.cpu_queue.enqueue_nd_range_kernel(
                 kernel, ndrange,
-                LaunchConfig(fid_start=gpu_groups, fid_end=total,
-                             wg_split_allowed=True),
+                LaunchConfig(fid_start=gpu_groups, fid_end=total),
             ))
         done = self.engine.all_of([e.done for e in events])
         self.machine.run_until(done)

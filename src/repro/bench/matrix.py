@@ -13,7 +13,6 @@ one orphans its history.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -84,8 +83,7 @@ SMOKE_MATRIX = (
 
 
 def run_app_matrix(smoke: bool = False, repeats: int = 3, warmup: int = 1,
-                   recorder=None, apps: Optional[List[str]] = None,
-                   ) -> List[BenchResult]:
+                   apps: Optional[List[str]] = None) -> List[BenchResult]:
     """Measure every (selected) matrix case; see :mod:`repro.bench`."""
     from repro.core.runtime import FluidiCLRuntime
     from repro.harness.runner import measure_app, single_device_times
@@ -99,9 +97,6 @@ def run_app_matrix(smoke: bool = False, repeats: int = 3, warmup: int = 1,
         app = make_app(case.app, case.scale)
         # one fixed input set per case: identical work in every repeat
         inputs = app.fresh_inputs()
-        if recorder is not None:
-            recorder.record(time.perf_counter(), "bench_begin",
-                            {"case": case.id})
 
         def run_once(case=case, app=app, inputs=inputs):
             result, runtime, _machine = measure_app(
@@ -126,7 +121,7 @@ def run_app_matrix(smoke: bool = False, repeats: int = 3, warmup: int = 1,
         best_single = min(single.values())
         speedup = best_single / info["elapsed"] if info["elapsed"] else 0.0
 
-        result = BenchResult(
+        results.append(BenchResult(
             id=case.id,
             kind="app",
             unit="runs/s",
@@ -144,11 +139,5 @@ def run_app_matrix(smoke: bool = False, repeats: int = 3, warmup: int = 1,
                 "simulated_gpu_only": single["gpu"],
                 "simulated_speedup_vs_best_single": speedup,
             },
-        )
-        results.append(result)
-        if recorder is not None:
-            recorder.record(time.perf_counter(), "bench_end",
-                            {"case": case.id,
-                             "wall_seconds": result.wall_seconds,
-                             "simulated_seconds": result.simulated_seconds})
+        ))
     return results

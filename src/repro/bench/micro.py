@@ -11,7 +11,6 @@ compare like-for-like.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -245,7 +244,7 @@ MICRO_BENCHMARKS = (
 
 
 def run_micro_benchmarks(smoke: bool = False, repeats: int = 3,
-                         warmup: int = 1, recorder=None,
+                         warmup: int = 1,
                          names: Optional[List[str]] = None,
                          ) -> List[BenchResult]:
     """Measure every (selected) microbenchmark; see :mod:`repro.bench`."""
@@ -258,14 +257,11 @@ def run_micro_benchmarks(smoke: bool = False, repeats: int = 3,
         # throughput are functions of n, so a smoke run must never be
         # gated against a full-size baseline (or vice versa).
         case_id = f"micro.{case.name}.smoke" if smoke else f"micro.{case.name}"
-        if recorder is not None:
-            recorder.record(time.perf_counter(), "bench_begin",
-                            {"case": case_id, "n": n})
         timing = measure(lambda case=case, n=n: case.fn(n),
                          repeats=repeats, warmup=warmup)
         info = timing.last_result
         work = info["work"]
-        result = BenchResult(
+        results.append(BenchResult(
             id=case_id,
             kind="micro",
             unit=case.unit,
@@ -276,11 +272,5 @@ def run_micro_benchmarks(smoke: bool = False, repeats: int = 3,
             repeats=len(timing.runs),
             simulated_seconds=info.get("simulated"),
             meta={"n": n, "work": work, **info.get("meta", {})},
-        )
-        results.append(result)
-        if recorder is not None:
-            recorder.record(time.perf_counter(), "bench_end",
-                            {"case": case_id,
-                             "throughput": result.throughput,
-                             "unit": case.unit})
+        ))
     return results

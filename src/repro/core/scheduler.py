@@ -147,7 +147,6 @@ class CpuScheduler:
                 fid_start=start,
                 fid_end=end,
                 kernel_id=plan.kernel_id,
-                wg_split_allowed=config.cpu_wg_split,
             )
             began = engine.now
             event = self.front.queue.enqueue_nd_range_kernel(

@@ -31,8 +31,6 @@ from repro.bench.snapshot import (
     next_snapshot_path,
 )
 from repro.harness.report import format_table
-from repro.obs.chrome import write_chrome_trace
-from repro.obs.recorder import EventRecorder
 
 __all__ = ["bench_main", "run_bench", "render_results", "render_comparison"]
 
@@ -44,16 +42,15 @@ DEFAULT_THRESHOLD = 1.5
 
 def run_bench(smoke: bool = False, repeats: int = 3, warmup: int = 1,
               micro_only: bool = False, apps_only: bool = False,
-              recorder: Optional[EventRecorder] = None,
               notes: Optional[List[str]] = None) -> BenchSnapshot:
     """Run the pinned suite and return the (unpersisted) snapshot."""
     results = []
     if not apps_only:
         results += run_micro_benchmarks(smoke=smoke, repeats=repeats,
-                                        warmup=warmup, recorder=recorder)
+                                        warmup=warmup)
     if not micro_only:
         results += run_app_matrix(smoke=smoke, repeats=repeats,
-                                  warmup=warmup, recorder=recorder)
+                                  warmup=warmup)
     return BenchSnapshot(
         results=results,
         created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -159,10 +156,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         help="do not fail when simulated seconds drift vs the baseline",
     )
     parser.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="also export the bench run itself as Chrome-trace JSON",
-    )
-    parser.add_argument(
         "--json", action="store_true",
         help="print the snapshot as JSON instead of tables",
     )
@@ -176,12 +169,11 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    recorder = EventRecorder() if args.trace_out else None
     began = time.perf_counter()
     snapshot = run_bench(
         smoke=args.smoke, repeats=args.repeats, warmup=args.warmup,
         micro_only=args.micro_only, apps_only=args.apps_only,
-        recorder=recorder, notes=args.note,
+        notes=args.note,
     )
     total_wall = time.perf_counter() - began
 
@@ -209,9 +201,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         out_path = args.out or next_snapshot_path(args.dir)
         snapshot.dump(out_path)
 
-    if recorder is not None:
-        write_chrome_trace(args.trace_out, recorder, process_name="repro.bench")
-
     if args.json:
         payload = snapshot.to_dict()
         if comparison is not None:
@@ -234,8 +223,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
                 print(f"   best case vs baseline: {best.id} {best.ratio:.2f}x")
         if out_path:
             print(f"   snapshot -> {out_path}")
-        if args.trace_out:
-            print(f"   bench trace -> {args.trace_out}")
 
     if comparison is not None and not comparison.ok:
         for case in comparison.regressions:

@@ -286,7 +286,8 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
     result = ExperimentResult(
         "ext_faults",
         "Graceful degradation under injected faults (scale: %s)" % scale,
-        ["benchmark", "fault", "correct", "failovers", "retries", "slowdown"],
+        ["benchmark", "fault", "correct", "failovers", "retries", "pending",
+         "slowdown"],
     )
     cases = [
         ("stall", FaultKind.DEVICE_STALL, "gpu"),
@@ -317,8 +318,11 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
                         "fault-free single-device GPU run"
                     )
             runtime = run.runtime
-            retries = (runtime.gpu_device.health.transfer_retries
-                       + runtime.cpu_device.health.transfer_retries)
+            healths = [runtime.gpu_device.health, runtime.cpu_device.health]
+            retries = sum(health.transfer_retries for health in healths)
+            pending = sum(health.pending_transfer_faults(direction)
+                          for health in healths
+                          for direction in ("h2d", "d2h"))
             if label == "transfer-fault" and retries == 0:
                 raise AssertionError(
                     f"{name} under {label}: no transfer retried, so the "
@@ -326,13 +330,14 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
                 )
             result.rows.append([
                 name, label, run.result.correct,
-                runtime.stats.extra["failovers"], retries,
+                runtime.stats.extra["failovers"], retries, pending,
                 run.result.elapsed / base.result.elapsed,
             ])
     result.notes.append(
         "transfer-fault arms two transient H2D and two transient D2H "
         "failures on the GPU at the strike; a row in which no transfer "
-        "retried raises"
+        "retried raises, and 'pending' counts the armed failures that no "
+        "transfer consumed before the run ended"
     )
     result.notes.append(
         "every faulted run's outputs are compared bitwise with the "

@@ -256,8 +256,6 @@ class KernelVariant:
     * ``unrolled`` — loop unrolling was re-applied around the inner checks
       (section 6.5); without it the inner checks inhibit compiler unrolling
       and inflate per-work-group cost by ``cost.no_unroll_penalty``.
-    * ``range_checked`` — the body runs only for flattened group IDs inside
-      the subkernel's [start, end) window (CPU kernels, Fig. 7).
     * ``wg_split`` — one work-group may be split across all CPU compute
       units when the allocation is smaller than the device (section 6.3).
     """
@@ -266,9 +264,7 @@ class KernelVariant:
     abort_checks: bool = False
     abort_in_loops: bool = False
     unrolled: bool = False
-    range_checked: bool = False
     wg_split: bool = False
-    extra_cost_multiplier: float = 1.0
 
     @property
     def name(self) -> str:
@@ -281,13 +277,11 @@ class KernelVariant:
     @property
     def time_multiplier(self) -> float:
         """Per-work-group cost multiplier induced by the transformations."""
-        factor = self.extra_cost_multiplier
-        if self.abort_in_loops:
-            if self.unrolled:
-                factor *= UNROLLED_CHECK_PENALTY
-            else:
-                factor *= self.spec.cost.no_unroll_penalty
-        return factor
+        if not self.abort_in_loops:
+            return 1.0
+        if self.unrolled:
+            return UNROLLED_CHECK_PENALTY
+        return self.spec.cost.no_unroll_penalty
 
     @property
     def abort_granularity(self) -> int:

@@ -60,13 +60,10 @@ def gpu_fluidic_variant(
 def cpu_subkernel_variant(spec: KernelSpec, wg_split: bool = True) -> KernelVariant:
     """The CPU-side FluidiCL subkernel (Fig. 7 flowchart).
 
-    Adds the flattened-group-ID range check; with ``wg_split`` the variant
+    Its flattened-group-ID range check is the launch window
+    (``LaunchConfig.fid_start``/``fid_end``); with ``wg_split`` the variant
     also carries the section-6.3 rewrite (custom barrier helper, local
     buffers demoted to global) that lets one work-group spread across all
     CPU compute units when the allocation is small.
     """
-    return KernelVariant(
-        spec,
-        range_checked=True,
-        wg_split=wg_split,
-    )
+    return KernelVariant(spec, wg_split=wg_split)

@@ -63,7 +63,6 @@ class EventKind(str, enum.Enum):
     FAILOVER = "failover"
     LINT = "lint"
     JOB = "job"
-    BENCH = "bench"
     GENERIC = "generic"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

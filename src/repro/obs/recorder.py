@@ -66,8 +66,6 @@ _CATEGORIES: Dict[str, Tuple[EventKind, Phase, str]] = {
     "job_shed": (EventKind.JOB, Phase.INSTANT, "serve"),
     "job_started": (EventKind.JOB, Phase.INSTANT, "serve"),
     "job_done": (EventKind.JOB, Phase.INSTANT, "serve"),
-    "bench_begin": (EventKind.BENCH, Phase.BEGIN, "bench"),
-    "bench_end": (EventKind.BENCH, Phase.END, "bench"),
 }
 
 

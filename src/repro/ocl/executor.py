@@ -88,8 +88,6 @@ class LaunchConfig:
     status_board: Optional[StatusBoard] = None
     #: FluidiCL kernel id (versioning / tracing)
     kernel_id: int = 0
-    #: allow §6.3 work-group splitting for small CPU allocations
-    wg_split_allowed: bool = False
 
     def window(self, ndrange: NDRange) -> Tuple[int, int]:
         end = self.fid_end if self.fid_end is not None else ndrange.total_groups
@@ -173,12 +171,7 @@ def run_kernel(
         return result
 
     # -- CPU work-group splitting (paper §6.3) -------------------------------
-    if (
-        launch.wg_split_allowed
-        and variant.wg_split
-        and board is None
-        and n_groups < spec.compute_units
-    ):
+    if variant.wg_split and board is None and n_groups < spec.compute_units:
         if weights is None:
             work = n_groups * t_wg
         else:

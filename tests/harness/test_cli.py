@@ -95,6 +95,24 @@ class TestTraceSubcommand:
         retries = int(line.split("'transfer_retries': ")[1].rstrip("}"))
         assert retries >= 1
 
+    def test_transfer_fault_reports_pending_failures(self, capsys, tmp_path):
+        """gesummv's kernel completes on the CPU, so the GPU makes no
+        device-to-host transfer after the strike: both armed D2H failures
+        stay unconsumed, and the resilience line says so per device."""
+        import ast
+
+        out_path = tmp_path / "trace.json"
+        assert main(["trace", "--smoke", "--app", "gesummv",
+                     "--faults", "transfer-fault", "--no-gantt",
+                     "--out", str(out_path)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.strip().startswith("resilience:")]
+        resilience = ast.literal_eval(line.split("resilience: ", 1)[1])
+        assert resilience["pending_transfer_faults"] == {
+            "Tesla C2070": {"h2d": 0, "d2h": 2},
+            "Xeon W3550": {"h2d": 0, "d2h": 0},
+        }
+
     @pytest.mark.parametrize("argv,named", [
         (["--machine", "nosuch"], "'nosuch'"),
         # a device of cpu+2gpu, but not of the default pair

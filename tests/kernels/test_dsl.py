@@ -121,11 +121,6 @@ class TestKernelVariant:
         variant = KernelVariant(spec, abort_checks=True, abort_in_loops=True)
         assert variant.abort_granularity == 40
 
-    def test_extra_multiplier_composes(self):
-        variant = KernelVariant(make_scale_kernel(64),
-                                extra_cost_multiplier=1.5)
-        assert variant.time_multiplier == pytest.approx(1.5)
-
 
 class TestDeclarationDiagnostics:
     """Declaration errors carry the analyzer's typed diagnostics

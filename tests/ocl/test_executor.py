@@ -225,7 +225,7 @@ class TestWorkGroupSplitting:
         queue = platform.create_context().create_queue(cpu)
         spec = make_scale_kernel(256, cpu_eff=0.5)
         variant = cpu_subkernel_variant(spec, wg_split=True)
-        config = LaunchConfig(fid_start=14, fid_end=16, wg_split_allowed=True)
+        config = LaunchConfig(fid_start=14, fid_end=16)
         event, y = launch(machine, cpu, queue, spec, 256,
                           variant=variant, config=config)
         machine.run_until(event.done)
@@ -241,7 +241,7 @@ class TestWorkGroupSplitting:
         queue = platform.create_context().create_queue(cpu)
         spec = make_scale_kernel(256, cpu_eff=0.5)
         variant = cpu_subkernel_variant(spec, wg_split=False)
-        config = LaunchConfig(fid_start=14, fid_end=16, wg_split_allowed=True)
+        config = LaunchConfig(fid_start=14, fid_end=16)
         event, _y = launch(machine, cpu, queue, spec, 256,
                            variant=variant, config=config)
         machine.run_until(event.done)
@@ -252,7 +252,7 @@ class TestWorkGroupSplitting:
         queue = platform.create_context().create_queue(cpu)
         spec = make_scale_kernel(256, cpu_eff=0.5)
         variant = cpu_subkernel_variant(spec, wg_split=True)
-        config = LaunchConfig(fid_start=0, fid_end=16, wg_split_allowed=True)
+        config = LaunchConfig(fid_start=0, fid_end=16)
         event, _y = launch(machine, cpu, queue, spec, 256,
                            variant=variant, config=config)
         machine.run_until(event.done)
