@@ -67,7 +67,7 @@ class _KernelPlan:
     gpu_event: Any
     #: per-worker landing buffers on the anchor for shipped data, keyed by
     #: front index then arg name; each worker's scheduler fills in its own
-    #: when it first ships a buffer
+    #: at its first shipment
     landing: Dict[int, Dict[str, Buffer]]
     #: pristine copies of the original contents, by arg name
     orig: Dict[str, Buffer]
@@ -562,11 +562,16 @@ class FluidiCLRuntime(AbstractRuntime):
                       record, required_cpu_versions) -> _KernelPlan:
         base = specs[0]
         workers = self.device_set.workers
-        # An original copy per out/inout buffer (§4.1), served from the
-        # pool (§6.1).  Landing areas for shipped results are left to each
-        # worker's scheduler, which acquires one when it first ships.
-        orig = {fbuf.name: self._host_acquire(fbuf, "orig")
-                for fbuf in out_fbuffers}
+        # An original copy per out/inout buffer (§4.1), all from one pool
+        # acquisition (§6.1); the host blocks on its allocation, if any.
+        # Landing areas for shipped results are left to each worker's
+        # scheduler, which acquires them when it first ships.
+        written = list(dict.fromkeys(out_fbuffers))
+        copies, ready = self.pool.acquire(
+            [(fbuf.shape, fbuf.dtype) for fbuf in written], "orig")
+        if ready is not None:
+            self.machine.run_until(ready)
+        orig = {fbuf.name: copy for fbuf, copy in zip(written, copies)}
         for fbuf in out_fbuffers:
             self.app_queue.enqueue_copy_buffer(fbuf.copies[0], orig[fbuf.name])
 
@@ -596,13 +601,6 @@ class FluidiCLRuntime(AbstractRuntime):
             LaunchConfig(status_board=board, kernel_id=kernel_id),
         )
         return plan
-
-    def _host_acquire(self, fbuf: FluidiBuffer, label: str) -> Buffer:
-        """A pool buffer shaped like ``fbuf``; the host blocks on a miss."""
-        buffer, ready = self.pool.acquire(fbuf.shape, fbuf.dtype, label)
-        if ready is not None:
-            self.machine.run_until(ready)
-        return buffer
 
     def _handle_front_loss(self, plan: _KernelPlan,
                            schedulers: List[CpuScheduler],

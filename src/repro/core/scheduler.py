@@ -39,7 +39,7 @@ class CpuScheduler:
         self.plan = plan
         self.front = front
         #: the front's landing buffers on the anchor, by arg name, acquired
-        #: by :meth:`_send_results_and_status` when it first ships each one
+        #: together by :meth:`_send_results_and_status` at its first shipment
         self.landing = plan.landing[self.front.index]
         #: trace track of this thread (allocation waits are charged to it)
         self.track = f"{front.queue.name}-sched"
@@ -247,21 +247,25 @@ class CpuScheduler:
         ledger = plan.ledger
 
         board = plan.board
+        if not self.landing:
+            # First shipment: this front's landing areas on the anchor are
+            # acquired now, in one pool call, and this thread waits for
+            # their allocation.  They are registered in the plan before
+            # the wait, so the kernel's helper release frees them whatever
+            # happens next.
+            if board.finalized:
+                return
+            shipped = list(dict.fromkeys(plan.out_fbuffers))
+            areas, ready = runtime.pool.acquire(
+                [(fbuf.shape, fbuf.dtype) for fbuf in shipped], "cpuin",
+                track=self.track)
+            self.landing.update(
+                (fbuf.name, area) for fbuf, area in zip(shipped, areas))
+            if ready is not None:
+                yield ready
         last_write = None
         for fbuf in plan.out_fbuffers:
-            area = self.landing.get(fbuf.name)
-            if area is None:
-                # First shipment of this buffer: its landing area on the
-                # anchor is allocated now, and this thread waits for it.
-                # It is registered in the plan before the wait, so the
-                # kernel's helper release frees it whatever happens next.
-                if board.finalized:
-                    return
-                area, ready = runtime.pool.acquire(
-                    fbuf.shape, fbuf.dtype, "cpuin", track=self.track)
-                self.landing[fbuf.name] = area
-                if ready is not None:
-                    yield ready
+            area = self.landing[fbuf.name]
             yield engine.timeout(fbuf.nbytes / host.memcpy_bandwidth)
             snapshot: np.ndarray = fbuf.copies[index].snapshot()
             # The kernel may have been finalized while we copied; its helper

@@ -18,9 +18,10 @@ kind              meaning
                   (§5.6): begin at spawn, end when every out-buffer's
                   read-back was delivered to the workers or discarded
 ``stale_discard`` late data discarded by version tracking (§5.3)
-``pool``          helper-buffer pool traffic (§6.1): a hit is an instant,
-                  a miss an ``alloc`` span on the track of the thread it
-                  blocks (``runtime`` or a worker's scheduler)
+``pool``          helper-buffer pool traffic (§6.1): a helper carved from
+                  an idle allocation is a ``hit`` instant, a device
+                  allocation an ``alloc`` span on the track of the thread
+                  it blocks (``runtime`` or a worker's scheduler)
 ``buffer_write``  a host ``clEnqueueWriteBuffer`` committing a new version
 ``buffer_read``   a host ``clEnqueueReadBuffer`` with its source device
 ``commit``        a kernel committing its out-buffers, with its ``path``

@@ -47,7 +47,7 @@ _CATEGORIES: Dict[str, Tuple[EventKind, Phase, str]] = {
     "dh_readback_end": (EventKind.DH_READBACK, Phase.END, "dh-thread"),
     "stale_dh_discard": (EventKind.STALE_DISCARD, Phase.INSTANT, "dh-thread"),
     "pool_hit": (EventKind.POOL, Phase.INSTANT, "pool"),
-    # a pool miss blocks the thread that asked (payload ``track``)
+    # a pool allocation blocks the thread that asked (payload ``track``)
     "alloc_begin": (EventKind.POOL, Phase.BEGIN, "runtime"),
     "alloc_end": (EventKind.POOL, Phase.END, "runtime"),
     "buffer_write": (EventKind.BUFFER_WRITE, Phase.INSTANT, "runtime"),

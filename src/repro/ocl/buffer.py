@@ -30,13 +30,19 @@ class Buffer:
     The element dtype/shape is kept as metadata; the paper stores the base
     type of each buffer "as a metadata at the beginning of each buffer" to
     pick the diff/merge granularity (section 4.3).
+
+    A ``sub_buffer`` (``clCreateSubBuffer``) has no device-memory handle
+    of its own: the allocation it was carved from owns the bytes, so
+    releasing it frees nothing.  A released buffer of either form is a
+    dead handle, and every later access to its contents raises.
     """
 
     __slots__ = ("id", "name", "device", "shape", "dtype", "flags", "nbytes",
                  "_array", "_mem_handle", "released")
 
     def __init__(self, device, shape: Tuple[int, ...], dtype,
-                 flags: MemFlag = MemFlag.READ_WRITE, name: str = ""):
+                 flags: MemFlag = MemFlag.READ_WRITE, name: str = "",
+                 sub_buffer: bool = False):
         self.id = next(_buffer_ids)
         self.device = device
         self.shape = tuple(shape)
@@ -47,7 +53,8 @@ class Buffer:
         #: ``None`` (zeros, never allocated), a frozen shared array, or a
         #: private writable one
         self._array: Optional[np.ndarray] = None
-        self._mem_handle = device.memory.allocate(self.nbytes)
+        self._mem_handle: Optional[int] = (
+            None if sub_buffer else device.memory.allocate(self.nbytes))
         self.released = False
 
     @property
@@ -80,6 +87,11 @@ class Buffer:
             raise RuntimeError(f"use after release of {self.name!r}")
         array = self._array
         return self.array if array is None else array
+
+    def _check_live(self) -> None:
+        """Raise if this buffer was released (a dead handle)."""
+        if self.released:
+            raise RuntimeError(f"use after release of {self.name!r}")
 
     def freeze(self, host_array: np.ndarray) -> np.ndarray:
         """Host data as a read-only array of this buffer's dtype and shape.
@@ -122,6 +134,7 @@ class Buffer:
         :meth:`freeze` returns — is taken as immutable and aliased; any
         other source is copied into a private array.
         """
+        self._check_live()
         if region is None and self._is_frozen(host_array):
             self._array = host_array
             return
@@ -137,6 +150,7 @@ class Buffer:
         The device side is reshaped to the destination, so a
         non-contiguous host array is written in place.
         """
+        self._check_live()
         if self._array is None:
             np.copyto(host_array, 0)
         else:
@@ -147,6 +161,8 @@ class Buffer:
 
         A frozen source is aliased, not copied.
         """
+        self._check_live()
+        other._check_live()
         if other.device is not self.device:
             raise ValueError(
                 "copy_from requires same-device buffers; use a transfer command"
@@ -162,14 +178,18 @@ class Buffer:
     def snapshot(self) -> np.ndarray:
         """Private copy of the current contents (used by tests and the merge
         step)."""
+        self._check_live()
         if self._array is None:
             return np.zeros(self.shape, dtype=self.dtype)
         return self._array.copy()
 
     def release(self) -> None:
-        """Free the device allocation (``clReleaseMemObject``)."""
+        """``clReleaseMemObject``: free the device allocation, if this
+        buffer owns one, and drop the contents."""
         if not self.released:
-            self.device.memory.release(self._mem_handle)
+            if self._mem_handle is not None:
+                self.device.memory.release(self._mem_handle)
+            self._array = None
             self.released = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

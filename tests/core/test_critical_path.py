@@ -87,12 +87,14 @@ class TestReadBackReadsTheLiveCopy:
         assert labels and "readback" not in labels
 
     def test_scan_blocks_only_on_pristine_copies(self):
-        """scan's host took 5 misses with a staging helper per read-back;
-        the 2 pristine-copy misses are all that remain."""
+        """scan's host took 5 misses with a staging helper per read-back,
+        and 2 with a pool keyed by shape; the upsweep's two pristine
+        copies now share one allocation, and the downsweep's is carved
+        from it."""
         run = measure_app(make_app("scan", "small", seed=1), trace=True)
         allocs = run.machine.tracer.event_spans(EventKind.POOL)
         assert [(s.attrs["label"], s.track) for s in allocs] == [
-            ("orig", "runtime"), ("orig", "runtime")]
+            ("orig", "runtime")]
 
     def test_a_later_writer_waits_for_the_read_back(self):
         """Two back-to-back kernels accumulate into ``y``.  The second

@@ -30,23 +30,23 @@ GUARANTEE = 0.9
 PRESETS = ("default", "big.little", "cpu+2gpu", "cpu+3gpu")
 #: (app, preset) -> floor for the cases still below GUARANTEE
 FLOORS = {
-    ("histogram", "default"): 0.73,
-    ("bfs", "default"): 0.63,
-    ("scan", "default"): 0.47,
-    ("histogram", "big.little"): 0.73,
-    ("bfs", "big.little"): 0.63,
-    ("scan", "big.little"): 0.47,
+    ("histogram", "default"): 0.84,
+    ("bfs", "default"): 0.71,
+    ("scan", "default"): 0.65,
+    ("histogram", "big.little"): 0.84,
+    ("bfs", "big.little"): 0.71,
+    ("scan", "big.little"): 0.65,
     ("gesummv", "cpu+2gpu"): 0.89,
     ("3mm", "cpu+2gpu"): 0.89,
-    ("histogram", "cpu+2gpu"): 0.79,
-    ("bfs", "cpu+2gpu"): 0.63,
-    ("scan", "cpu+2gpu"): 0.47,
+    ("histogram", "cpu+2gpu"): 0.84,
+    ("bfs", "cpu+2gpu"): 0.71,
+    ("scan", "cpu+2gpu"): 0.65,
     ("gesummv", "cpu+3gpu"): 0.85,
     ("gemm", "cpu+3gpu"): 0.88,
     ("3mm", "cpu+3gpu"): 0.89,
-    ("histogram", "cpu+3gpu"): 0.79,
-    ("bfs", "cpu+3gpu"): 0.63,
-    ("scan", "cpu+3gpu"): 0.47,
+    ("histogram", "cpu+3gpu"): 0.84,
+    ("bfs", "cpu+3gpu"): 0.71,
+    ("scan", "cpu+3gpu"): 0.65,
 }
 
 

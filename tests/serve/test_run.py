@@ -117,38 +117,38 @@ PINNED = {
             "tenant0": ("bicg", "interactive", 162.0, 124.0, 38.0, 124.0, 0.0,
                         15.651210561427268, 21.420761658711193,
                         21.67180843291477,
-                        1491.4869805760973, 0.2345679012345679,
+                        1499.1947000643388, 0.2345679012345679,
                         0.5806451612903226, 32.0),
             "tenant1": ("gesummv", "interactive", 62.0, 62.0, 0.0, 42.0, 20.0,
                         6.262352251487265, 12.098358388363552,
                         14.579100980656511,
-                        505.18107406609744, 0.0, 1.0, 20.0),
+                        507.79175324759865, 0.0, 1.0, 20.0),
             "tenant2": ("scan", "batch", 76.0, 76.0, 0.0, 76.0, 0.0,
                         21.600432669160146, 32.03407141307938,
-                        33.33466288887032,
-                        914.1371816434144, 0.0, 1.0, 30.0),
+                        33.19342248177415,
+                        918.861267781369, 0.0, 1.0, 30.0),
         },
         (300.0, 262.0, 38.0, 242.0, 20.0, 0.12666666666666668,
-         2910.8052362856088, 0.7851239669421488),
+         2925.8477210933065, 0.7851239669421488),
     ),
     "closed-loop": (
         dict(seed=2, requests=300, n_tenants=3, arrival="closed",
              clients=24, utilization=1.5),
         {
-            "tenant0": ("spmv", "batch", 149.0, 149.0, 0.0, 149.0, 0.0,
-                        0.9957280451526991, 1.8434315234764853,
-                        2.545307154172209,
-                        3892.692063970398, 0.0, 1.0, 12.0),
-            "tenant1": ("histogram", "batch", 78.0, 78.0, 0.0, 78.0, 0.0,
-                        1.140022466947652, 3.028919105903715,
-                        3.406843027266521,
-                        2037.7851073133627, 0.0, 1.0, 7.0),
+            "tenant0": ("spmv", "batch", 150.0, 150.0, 0.0, 150.0, 0.0,
+                        0.9865011355255785, 1.984324752682451,
+                        2.8171983541722088,
+                        3676.6837621256504, 0.0, 1.0, 12.0),
+            "tenant1": ("histogram", "batch", 77.0, 77.0, 0.0, 77.0, 0.0,
+                        1.0314353550995463, 2.6543728206823705,
+                        2.757723314735638,
+                        1887.3643312245006, 0.0, 1.0, 8.0),
             "tenant2": ("atax", "interactive", 73.0, 73.0, 0.0, 73.0, 0.0,
-                        1.2479258217255684, 2.8332128557595104,
-                        3.297831523419349,
-                        1907.1578568445575, 0.0, 1.0, 8.0),
+                        1.3104965241425937, 2.8609993825675586,
+                        3.2819998789749047,
+                        1789.3194309011499, 0.0, 1.0, 8.0),
         },
-        (300.0, 300.0, 0.0, 300.0, 0.0, 0.0, 7837.6350281283185, 1.0),
+        (300.0, 300.0, 0.0, 300.0, 0.0, 0.0, 7353.367524251301, 1.0),
     ),
 }
 
