@@ -26,8 +26,10 @@ class FaultInjector:
     def __init__(self, platform: Platform, schedule: FaultSchedule):
         self.platform = platform
         self.schedule = schedule
-        #: specs already applied, in application order — the one record of
-        #: how many faults struck
+        #: specs that struck, in order — the one record of how many faults
+        #: struck.  A stall, loss or link degrade strikes when applied; a
+        #: transfer fault when one of its armed failures fails a transfer,
+        #: and one that never does shows only as pending on its device
         self.applied: List[FaultSpec] = []
         self._installed = False
 
@@ -80,7 +82,7 @@ class FaultInjector:
         elif spec.kind is FaultKind.DEVICE_LOSS:
             health.declare_lost("injected device loss")
         elif spec.kind is FaultKind.TRANSFER_FAULT:
-            health.inject_transfer_faults(spec.direction, spec.count)
+            yield health.inject_transfer_faults(spec.direction, spec.count)
         elif spec.kind is FaultKind.LINK_DEGRADE:
             device.link = replace(
                 device.link,

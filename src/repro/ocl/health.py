@@ -23,9 +23,10 @@ completed wave/command; the runtime watchdog reads it to tell "slow" from
 
 from __future__ import annotations
 
-from typing import Dict
+from collections import deque
+from typing import Deque, Dict, List
 
-from repro.sim.core import Engine
+from repro.sim.core import Engine, Event
 from repro.sim.sync import Gate
 from repro.sim.timebase import from_ticks
 
@@ -54,8 +55,9 @@ class DeviceHealth:
         #: heartbeat: engine tick of the last completed wave/command.
         #: Kept in ticks so the watchdog's idle arithmetic is exact.
         self.last_progress_ticks = 0
-        #: injected transient failures still pending, per DMA direction
-        self._pending_transfer_faults: Dict[str, int] = {"h2d": 0, "d2h": 0}
+        #: armed transient failures still pending, per DMA direction,
+        #: oldest arming first: ``[failures left, event of its first]``
+        self._armed: Dict[str, Deque[List]] = {"h2d": deque(), "d2h": deque()}
         #: bounded-retry policy for injected transfer failures, the one
         #: budget every transfer of the device obeys; the backoff before
         #: the first retry doubles per attempt
@@ -102,25 +104,37 @@ class DeviceHealth:
         self.lost_reason = reason
         self._lost_gate.fire(reason)
 
-    def inject_transfer_faults(self, direction: str, count: int = 1) -> None:
-        """Make the next ``count`` transfers in ``direction`` fail once each."""
-        if direction not in self._pending_transfer_faults:
+    def inject_transfer_faults(self, direction: str, count: int = 1) -> Event:
+        """Make the next ``count`` transfers in ``direction`` fail once each.
+
+        Returns the event that fires when the first of them fails a
+        transfer.  Armings in one direction are consumed in order, so it
+        never fires while an earlier arming still has failures pending.
+        """
+        if direction not in self._armed:
             raise ValueError(f"unknown DMA direction {direction!r}")
         if count < 1:
             raise ValueError("count must be >= 1")
-        self._pending_transfer_faults[direction] += count
+        struck = self.engine.event(name=f"{direction}-fault:{self.device_name}")
+        self._armed[direction].append([count, struck])
+        return struck
 
     # -- command-layer hooks -----------------------------------------------
     def take_transfer_fault(self, direction: str) -> bool:
         """Consume one pending injected failure; True if this attempt fails."""
-        pending = self._pending_transfer_faults.get(direction, 0)
-        if pending > 0:
-            self._pending_transfer_faults[direction] = pending - 1
-            return True
-        return False
+        armed = self._armed.get(direction)
+        if not armed:
+            return False
+        arming = armed[0]
+        if not arming[1].triggered:
+            arming[1].succeed()
+        arming[0] -= 1
+        if not arming[0]:
+            armed.popleft()
+        return True
 
     def pending_transfer_faults(self, direction: str) -> int:
-        return self._pending_transfer_faults.get(direction, 0)
+        return sum(left for left, _struck in self._armed.get(direction, ()))
 
     def wait_ready(self):
         """Generator: wait out any stall.  Returns True if the device is

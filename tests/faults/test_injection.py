@@ -50,6 +50,37 @@ class TestInjection:
         assert health.take_transfer_fault("d2h")
         assert health.pending_transfer_faults("d2h") == 2
 
+    def test_transfer_fault_counts_when_it_strikes(self):
+        """A transfer-fault spec is recorded (and traced) when its first
+        armed failure fails a transfer, not when it is armed; armings in
+        one direction are consumed oldest first."""
+        runtime = make_runtime()
+        injector = install_faults(runtime.platform, FaultSchedule([
+            FaultSpec(kind=FaultKind.TRANSFER_FAULT, at=0.0, device="gpu",
+                      direction="d2h", count=2),
+            FaultSpec(kind=FaultKind.TRANSFER_FAULT, at=1e-6, device="gpu",
+                      direction="d2h", count=1),
+        ]))
+        engine = runtime.engine
+        engine.run(until=1e-3)
+        health = runtime.gpu_device.health
+        assert health.pending_transfer_faults("d2h") == 3
+        assert injector.applied == []
+        assert runtime.machine.tracer.by_kind(EventKind.FAULT) == []
+        assert health.take_transfer_fault("d2h")
+        engine.run(until=2e-3)
+        assert [s.count for s in injector.applied] == [2]
+        (event,) = runtime.machine.tracer.by_kind(EventKind.FAULT)
+        assert event.ts == pytest.approx(1e-3)
+        assert health.take_transfer_fault("d2h")
+        engine.run(until=3e-3)
+        assert len(injector.applied) == 1
+        assert health.take_transfer_fault("d2h")
+        engine.run(until=4e-3)
+        assert [s.count for s in injector.applied] == [2, 1]
+        assert health.pending_transfer_faults("d2h") == 0
+        assert not health.take_transfer_fault("d2h")
+
     def test_link_degrade_scales_bandwidth(self):
         runtime = make_runtime()
         before = runtime.gpu_device.link.bandwidth

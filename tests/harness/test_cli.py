@@ -113,6 +113,27 @@ class TestTraceSubcommand:
             "Xeon W3550": {"h2d": 0, "d2h": 0},
         }
 
+    def test_transfer_fault_counts_only_the_spec_that_struck(self, capsys,
+                                                             tmp_path):
+        """Of gesummv's two transfer-fault specs only the H2D one fails a
+        transfer; the D2H one is armed but never strikes, so one fault
+        was injected, not two."""
+        import ast
+
+        out_path = tmp_path / "trace.json"
+        assert main(["trace", "--smoke", "--app", "gesummv",
+                     "--faults", "transfer-fault", "--no-gantt",
+                     "--out", str(out_path)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.strip().startswith("resilience:")]
+        resilience = ast.literal_eval(line.split("resilience: ", 1)[1])
+        assert resilience["faults_injected"] == 1
+        assert resilience["transfer_retries"] == 2
+        trace = json.loads(out_path.read_text())
+        (struck,) = [e for e in trace["traceEvents"]
+                     if e.get("name") == "transfer-fault"]
+        assert struck["args"]["direction"] == "h2d"
+
     @pytest.mark.parametrize("argv,named", [
         (["--machine", "nosuch"], "'nosuch'"),
         # a device of cpu+2gpu, but not of the default pair
