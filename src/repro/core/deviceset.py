@@ -273,16 +273,20 @@ class FrontLedger:
             for w in self.windows if w.rerun_of is None
         ]
 
-    def credited_contributors(self, frontier: int) -> List[int]:
-        """Fronts credited with a window at or above ``frontier``, ascending.
+    def credited_above(self, frontier: int, top: int) -> List[int]:
+        """Fronts credited with a window at or above ``frontier`` that
+        reaches above ``top``, ascending.
 
-        These are the fronts whose landing buffers contribute credited
-        results to the merge: a window below the final board frontier was
-        never accepted (its status arrived too late) and merging it would
-        overwrite anchor results with stale worker data.
+        These are the fronts whose landing buffers a commit must merge
+        when the anchor executed every group below ``top``.  A window
+        below the final board frontier was never accepted (its status
+        arrived too late) and merging it would overwrite anchor results
+        with stale worker data; a window at or below ``top`` holds only
+        groups the anchor computed itself.
         """
         return sorted({
-            front for w, front in self._credit() if w.start >= frontier
+            front for w, front in self._credit()
+            if w.start >= frontier and w.end > top
         })
 
     def groups_for(self, front: int) -> int:

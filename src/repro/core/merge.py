@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hw.cost import WorkGroupCost
+from repro.hw.cost import WorkGroupCost, wg_time
+from repro.hw.specs import DeviceSpec
 from repro.kernels.dsl import Intent, KernelSpec, buffer_arg, scalar_arg
+from repro.kernels.transforms import plain_variant
 from repro.ocl.ndrange import NDRange
 
-__all__ = ["MERGE_LOCAL_SIZE", "build_merge_kernel", "merge_ndrange"]
+__all__ = ["MERGE_LOCAL_SIZE", "build_merge_kernel", "merge_ndrange",
+           "merge_seconds"]
 
 #: work-items (elements) per merge work-group
 MERGE_LOCAL_SIZE = 4096
@@ -98,6 +101,20 @@ def build_merge_kernel(nbytes: int, itemsize: int, on_diff=None) -> KernelSpec:
         body=body,
         cost=cost,
     )
+
+
+def merge_seconds(spec: DeviceSpec, nbytes: int, itemsize: int) -> float:
+    """What one diff+merge of an ``nbytes`` buffer costs on ``spec``.
+
+    The executor's charges for the merge kernel: the launch overhead plus,
+    for each wave of :func:`merge_ndrange`, the wave overhead and the
+    per-group time.  The anchor prices an abort with it.
+    """
+    merge = plain_variant(build_merge_kernel(nbytes, itemsize))
+    groups = merge_ndrange(nbytes // itemsize).total_groups
+    waves = -(-groups // spec.concurrent_workgroups)
+    t_wg = wg_time(merge.cost, spec, merge.time_multiplier)
+    return spec.kernel_launch_overhead + waves * (spec.wave_overhead + t_wg)
 
 
 def merge_ndrange(number_elems: int) -> NDRange:

@@ -5,12 +5,14 @@ the anchor device.  Each lives only as long as its role:
 
 * a **pristine copy** of the original contents, for the merge diff: the
   host acquires the kernel's copies before it enqueues the anchor kernel,
-  and they return once the kernel's in-flight worker sends drained out of
-  the ``hd`` queue;
+  and they return at the kernel's commit, since no transfer or merge
+  touches them after it;
 * a **landing area** per worker front for shipped results: that front's
-  scheduler thread acquires the kernel's areas when it first ships
-  (kernels that credit a worker nothing never allocate any), and they
-  return with the pristine copies.
+  scheduler thread acquires the kernel's areas right after it enqueues
+  its first subkernel and waits for them while the subkernel runs (a
+  front that never ships allocates them too, off every critical path),
+  and they return once the kernel's in-flight worker sends drained out
+  of the ``hd`` queue.
 
 The background read-back (§5.6) needs no helper: it reads the live
 anchor copy, and a later kernel that writes that copy waits for it.

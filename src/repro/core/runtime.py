@@ -22,6 +22,7 @@ with whatever the host does next (§5.5/§5.6).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from repro.analysis.diagnostics import LintError, LintReport, Severity
 from repro.core.buffers import FluidiBuffer, ReadBack
 from repro.core.config import FluidiCLConfig
 from repro.core.deviceset import DeviceSet, FrontLedger
-from repro.core.merge import build_merge_kernel, merge_ndrange
+from repro.core.merge import build_merge_kernel, merge_ndrange, merge_seconds
 from repro.core.pool import BufferPool
 from repro.core.scheduler import CpuScheduler
 from repro.core.stats import KernelRecord
@@ -67,7 +68,7 @@ class _KernelPlan:
     gpu_event: Any
     #: per-worker landing buffers on the anchor for shipped data, keyed by
     #: front index then arg name; each worker's scheduler fills in its own
-    #: at its first shipment
+    #: when it launches its first subkernel
     landing: Dict[int, Dict[str, Buffer]]
     #: pristine copies of the original contents, by arg name
     orig: Dict[str, Buffer]
@@ -140,6 +141,8 @@ class FluidiCLRuntime(AbstractRuntime):
             stale_dh_discards=0,
             readbacks_covered=0,
             merges=0,
+            merges_skipped=0,
+            aborts_declined=0,
             subkernels_launched=0,
             status_messages=0,
             failovers=0,
@@ -437,16 +440,10 @@ class FluidiCLRuntime(AbstractRuntime):
             gpu_result = plan.gpu_event.result
             record.gpu_groups = gpu_result.executed_groups
             record.gpu_span = (gpu_result.start_time, gpu_result.end_time)
+            self.stats.extra["aborts_declined"] += gpu_result.abort_declined
 
-            # The workers "completed the whole NDRange first" only if the
-            # final status (data included) made it to the anchor (§4.2) —
-            # and the single-copy commit is only sound when one *surviving*
-            # front holds the entire range; otherwise the shipped landing
-            # data on the (live) anchor is merged instead.
-            cpu_complete = plan.board.frontier == 0
-            sole = plan.ledger.sole_contributor()
-            if (cpu_complete and sole is not None
-                    and not self.device_set.fronts[sole].lost):
+            sole = self._cpu_complete(plan)
+            if sole is not None:
                 # §4.2: anchor results are ignored and that front's copy
                 # becomes the committed truth.
                 record.cpu_groups = plan.ndrange.total_groups
@@ -565,7 +562,7 @@ class FluidiCLRuntime(AbstractRuntime):
         # An original copy per out/inout buffer (§4.1), all from one pool
         # acquisition (§6.1); the host blocks on its allocation, if any.
         # Landing areas for shipped results are left to each worker's
-        # scheduler, which acquires them when it first ships.
+        # scheduler, which acquires them under its first subkernel.
         written = list(dict.fromkeys(out_fbuffers))
         copies, ready = self.pool.acquire(
             [(fbuf.shape, fbuf.dtype) for fbuf in written], "orig")
@@ -595,6 +592,7 @@ class FluidiCLRuntime(AbstractRuntime):
             ledger=FrontLedger(ndrange.total_groups),
             required_cpu_versions=required_cpu_versions,
         )
+        board.abort_price = functools.partial(self._abort_price, plan)
         gpu_kernel = Kernel(gpu_variant, plan.front_args(base, 0))
         plan.gpu_event = self.app_queue.enqueue_nd_range_kernel(
             gpu_kernel, ndrange,
@@ -711,35 +709,76 @@ class FluidiCLRuntime(AbstractRuntime):
             self._spawn_dh_thread(plan)
         self._release_helpers(plan)
 
+    def _cpu_complete(self, plan: _KernelPlan) -> Optional[int]:
+        """The front a cpu-complete commit would commit to, or ``None``.
+
+        The workers "completed the whole NDRange first" only if the final
+        status (data included) made it to the anchor (§4.2) — and the
+        single-copy commit is only sound when one *surviving* front holds
+        the entire range; otherwise the shipped landing data on the
+        (live) anchor is merged instead.
+        """
+        if plan.board.frontier != 0:
+            return None
+        sole = plan.ledger.sole_contributor()
+        if sole is None or self.device_set.fronts[sole].lost:
+            return None
+        return sole
+
+    def _merge_fronts(self, plan: _KernelPlan, top: int) -> List[int]:
+        """Fronts a commit merges when the anchor executed every group
+        below ``top``: those credited with a window at or above the
+        board's frontier that reaches above ``top``."""
+        return plan.ledger.credited_above(plan.board.frontier, top)
+
+    def _abort_price(self, plan: _KernelPlan, lo: int, hi: int) -> float:
+        """Seconds of the merges that aborting the anchor's running last
+        wave ``[lo, hi)`` adds: one per out-buffer for each front credited
+        above ``lo`` but not above ``hi``.  A cpu-complete status adds
+        none, since its commit merges nothing."""
+        if self._cpu_complete(plan) is not None:
+            return 0.0
+        added = (len(self._merge_fronts(plan, lo))
+                 - len(self._merge_fronts(plan, hi)))
+        spec = self.gpu_device.spec
+        return added * sum(
+            merge_seconds(spec, fbuf.nbytes, fbuf.dtype.itemsize)
+            for fbuf in plan.out_fbuffers)
+
     def _merge_and_commit(self, plan: _KernelPlan) -> None:
         """Normal path: diff+merge on the anchor, then background read-back.
 
-        With several contributing fronts the merges run pairwise in
-        ascending front order on the in-order ``app_queue`` — each landing
-        buffer differs from the pristine original only in that front's
-        disjoint windows, so the pairwise order is commutative and the
-        result is the union of all contributed ranges.
+        Only the fronts credited above the anchor's executed top are
+        merged: the anchor computed every group below it, so a landing
+        area whose windows all lie there adds nothing.  A kernel that
+        merges nothing commits ``gpu-only``.  With several contributing
+        fronts the merges run pairwise in ascending front order on the
+        in-order ``app_queue`` — each landing buffer differs from the
+        pristine original only in that front's disjoint windows, so the
+        pairwise order is commutative and the result is the union of all
+        contributed ranges.
         """
         record = plan.record
-        record.cpu_groups = plan.board.cpu_completed_groups
+        top = max((hi for _lo, hi in plan.gpu_event.result.executed),
+                  default=0)
+        contributors = self._merge_fronts(plan, top)
+        skipped = len(self._merge_fronts(plan, 0)) - len(contributors)
+        self.stats.extra["merges_skipped"] += (
+            len(plan.out_fbuffers) * skipped)
+        record.cpu_groups = (plan.board.cpu_completed_groups
+                             if contributors else 0)
 
         merges = []
-        if record.cpu_groups > 0:
-            contributors = plan.ledger.credited_contributors(
-                plan.board.frontier
-            )
-            for front_index in contributors:
-                for fbuf in plan.out_fbuffers:
-                    merges.append(self._enqueue_merge(plan, fbuf, front_index))
-                    self.engine.trace(
-                        "merge_enqueued", kernel_id=plan.kernel_id,
-                        buffer=fbuf.name,
-                        cpu_groups=plan.board.cpu_completed_groups,
-                        device=self.device_set.fronts[front_index].name,
-                    )
-            self.stats.extra["merges"] += (
-                len(plan.out_fbuffers) * len(contributors)
-            )
+        for front_index in contributors:
+            for fbuf in plan.out_fbuffers:
+                merges.append(self._enqueue_merge(plan, fbuf, front_index))
+                self.engine.trace(
+                    "merge_enqueued", kernel_id=plan.kernel_id,
+                    buffer=fbuf.name,
+                    cpu_groups=plan.board.cpu_completed_groups,
+                    device=self.device_set.fronts[front_index].name,
+                )
+        self.stats.extra["merges"] += len(merges)
 
         # The blocking kernel call returns once the merged result exists.
         # The commit waits on the merges themselves, not only on a marker
@@ -749,7 +788,7 @@ class FluidiCLRuntime(AbstractRuntime):
         if merges:
             commit_done = self.engine.all_of([commit_done] + merges)
         self.machine.run_until(commit_done)
-        self._commit(plan, 0, "merged" if record.cpu_groups else "gpu-only")
+        self._commit(plan, 0, "merged" if merges else "gpu-only")
 
     def _enqueue_merge(self, plan: _KernelPlan, fbuf: FluidiBuffer,
                        front_index: int):
@@ -867,28 +906,30 @@ class FluidiCLRuntime(AbstractRuntime):
                           buffer=fbuf.name, superseded_by=fbuf.latest)
 
     def _release_helpers(self, plan: _KernelPlan) -> None:
-        """Return landing/orig buffers to the pool once in-flight worker
-        sends (whose results are now moot) have drained out of the ``hd``
-        queue.
+        """Return the kernel's helper buffers to the pool at its commit.
 
-        The kernel is finalized by now, so no scheduler acquires another
-        landing area: each one registers in the plan before its allocation
-        wait, and ships nothing once it sees the finalized board.  With
-        the anchor lost, every command on ``hd`` cancels, a release
-        callback included, so the host drains ``hd`` (at once) and
-        releases the buffers itself.
+        The pristine copies return at once: their merges have completed,
+        and no transfer targets them.  The landing areas return once
+        in-flight worker sends (whose results are now moot) have drained
+        out of the ``hd`` queue.  The kernel is finalized by now, so no
+        scheduler acquires another landing area: each one registers in
+        the plan before its allocation wait, and acquires nothing once it
+        sees the finalized board.  With the anchor lost, every command on
+        ``hd`` cancels, a release callback included, so the host drains
+        ``hd`` (at once) and releases the areas itself.
         """
-        helpers = [buffer for area in plan.landing.values()
+        for buffer in plan.orig.values():
+            self.pool.release(buffer)
+        landing = [buffer for area in plan.landing.values()
                    for buffer in area.values()]
-        helpers += plan.orig.values()
 
         def release(_queue=None):
-            for buffer in helpers:
+            for buffer in landing:
                 self.pool.release(buffer)
 
         if self.device_set.anchor.lost:
             self.machine.run_until(self.hd_queue.finish_event())
             release()
-        elif helpers:
+        elif landing:
             self.hd_queue.enqueue_callback(release,
                                            label=f"release k{plan.kernel_id}")

@@ -12,6 +12,10 @@ With a single worker (the paper's CPU+GPU pair) the ledger hands out
 exactly the shrinking top-of-range windows of the paper's CPU scheduler,
 and the status values published at delivery time equal the shipped
 frontier.
+
+The front's landing areas on the anchor are allocated on this thread
+right after it enqueues the kernel's first subkernel, so the allocation
+runs while that subkernel does.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class CpuScheduler:
         self.plan = plan
         self.front = front
         #: the front's landing buffers on the anchor, by arg name, acquired
-        #: together by :meth:`_send_results_and_status` at its first shipment
+        #: together while the front's first subkernel runs
         self.landing = plan.landing[self.front.index]
         #: trace track of this thread (allocation waits are charged to it)
         self.track = f"{front.queue.name}-sched"
@@ -168,6 +172,19 @@ class CpuScheduler:
                     device=self.front.name, redo=window.redo,
                 )
             runtime.stats.extra["subkernels_launched"] += 1
+            if not self.landing and not plan.board.finalized:
+                # The first subkernel runs while this thread allocates the
+                # front's landing areas on the anchor, in one pool call.
+                # They are registered in the plan before the wait, so the
+                # kernel's helper release frees them whatever happens next.
+                shipped = list(dict.fromkeys(plan.out_fbuffers))
+                areas, ready = runtime.pool.acquire(
+                    [(fbuf.shape, fbuf.dtype) for fbuf in shipped], "cpuin",
+                    track=self.track)
+                self.landing.update(
+                    (fbuf.name, area) for fbuf, area in zip(shipped, areas))
+                if ready is not None:
+                    yield ready
             yield event.done
             if event.cancelled:
                 # This front's device died under the subkernel; its partial
@@ -247,22 +264,6 @@ class CpuScheduler:
         ledger = plan.ledger
 
         board = plan.board
-        if not self.landing:
-            # First shipment: this front's landing areas on the anchor are
-            # acquired now, in one pool call, and this thread waits for
-            # their allocation.  They are registered in the plan before
-            # the wait, so the kernel's helper release frees them whatever
-            # happens next.
-            if board.finalized:
-                return
-            shipped = list(dict.fromkeys(plan.out_fbuffers))
-            areas, ready = runtime.pool.acquire(
-                [(fbuf.shape, fbuf.dtype) for fbuf in shipped], "cpuin",
-                track=self.track)
-            self.landing.update(
-                (fbuf.name, area) for fbuf, area in zip(shipped, areas))
-            if ready is not None:
-                yield ready
         last_write = None
         for fbuf in plan.out_fbuffers:
             area = self.landing[fbuf.name]

@@ -286,8 +286,8 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
     result = ExperimentResult(
         "ext_faults",
         "Graceful degradation under injected faults (scale: %s)" % scale,
-        ["benchmark", "fault", "correct", "failovers", "retries", "pending",
-         "slowdown"],
+        ["benchmark", "fault", "strike_ms", "correct", "failovers", "retries",
+         "pending", "slowdown"],
     )
     cases = [
         ("stall", FaultKind.DEVICE_STALL, "gpu"),
@@ -329,10 +329,15 @@ def fault_resilience(scale: str = "test", benchmarks=None) -> ExperimentResult:
                     "armed faults never fired"
                 )
             result.rows.append([
-                name, label, run.result.correct,
+                name, label, strike * 1e3, run.result.correct,
                 runtime.stats.extra["failovers"], retries, pending,
                 run.result.elapsed / base.result.elapsed,
             ])
+    result.notes.append(
+        "strike_ms is the midpoint of the fault-free run's first-kernel GPU "
+        "span, so a row moves whenever the fault-free schedule moves, with "
+        "the fault handling unchanged"
+    )
     result.notes.append(
         "transfer-fault arms two transient H2D and two transient D2H "
         "failures on the GPU at the strike; a row in which no transfer "

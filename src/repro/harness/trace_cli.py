@@ -166,7 +166,8 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     print(f"  events: {len(recorder.events)} typed "
           f"({len(trace['traceEvents'])} trace entries) -> {args.out}")
     interesting = (
-        "merges", "stale_dh_discards", "readbacks_covered",
+        "merges", "merges_skipped", "aborts_declined",
+        "stale_dh_discards", "readbacks_covered",
         "subkernels_launched", "status_messages", "input_refreshes",
     ) + tuple(f"reads_from[{d.name}]" for d in runtime.platform.devices)
     shown = {k: metrics[k] for k in interesting if k in metrics}

@@ -11,7 +11,9 @@ kind              meaning
 ``kernel``        one cooperative ``clEnqueueNDRangeKernel`` call (§4.2)
 ``subkernel``     one CPU subkernel launch over a flattened window (§5.1)
 ``status``        a CPU-completion status message delivered to the GPU
-``merge``         a diff+merge kernel enqueued for one out-buffer (§4.2)
+``merge``         a diff+merge kernel enqueued for one out-buffer (§4.2),
+                  or an anchor abort declined because the merges it adds
+                  cost more than it saves (``abort_declined``)
 ``refresh``       a stale device copy refreshed from a current one before
                   a launch (§6.2), with the refreshed ``device``
 ``dh_readback``   the background device-to-host thread of one kernel

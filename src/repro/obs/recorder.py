@@ -42,6 +42,8 @@ _CATEGORIES: Dict[str, Tuple[EventKind, Phase, str]] = {
     "status_delivery": (EventKind.STATUS, Phase.INSTANT, "hd"),
     "merge_enqueued": (EventKind.MERGE, Phase.INSTANT, "runtime"),
     "merge_done": (EventKind.MERGE, Phase.INSTANT, "runtime"),
+    # the anchor ran a covered last wave whole: its merges cost more
+    "abort_declined": (EventKind.MERGE, Phase.INSTANT, "runtime"),
     "input_refresh": (EventKind.REFRESH, Phase.INSTANT, "runtime"),
     "dh_readback_begin": (EventKind.DH_READBACK, Phase.BEGIN, "dh-thread"),
     "dh_readback_end": (EventKind.DH_READBACK, Phase.END, "dh-thread"),

@@ -10,17 +10,22 @@ With abort checks inside loops (§6.4) a *running* wave also reacts to
 status updates: the reaction is event-driven (the executor sleeps until
 either the wave ends or a status message arrives) and the abort instant is
 quantized up to the next loop-iteration boundary, so the modeled granularity
-is exactly the transformed kernel's check granularity.
+is exactly the transformed kernel's check granularity.  A running wave
+aborts only once the status covers all of it: its slowest group sets its
+length, so groups above a partial cover are computed anyway.  The launch's
+last wave aborts only if that saves more time than the merges the abort
+adds cost (:attr:`StatusBoard.abort_price`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
 from repro.ocl.kernel import Kernel
 from repro.ocl.ndrange import NDRange
 from repro.sim.sync import Gate
+from repro.sim.timebase import from_ticks
 
 __all__ = ["StatusBoard", "LaunchConfig", "KernelRunResult", "run_kernel"]
 
@@ -45,6 +50,10 @@ class StatusBoard:
         self.finalized = False
         #: fired on every accepted update; the executor waits on this
         self.gate = Gate(engine, name=f"status:k{kernel_id}")
+        #: seconds of the merges that aborting the running last wave
+        #: ``[lo, hi)`` would add, as ``abort_price(lo, hi)``; ``None``
+        #: prices every abort at 0, so every covered wave aborts
+        self.abort_price: Optional[Callable[[int, int], float]] = None
 
     def update(self, frontier: int) -> bool:
         """Record an arriving status message; returns False if discarded."""
@@ -67,6 +76,9 @@ class StatusBoard:
 
     def finalize(self) -> None:
         self.finalized = True
+        # The price refers back to the kernel's state; no wave asks for it
+        # once the kernel is finalized.
+        self.abort_price = None
 
     def covered(self, fid: int) -> bool:
         """Has this work-group been completed (with data) by the CPU?"""
@@ -116,6 +128,10 @@ class KernelRunResult:
     #: True when the device was lost mid-launch; ``executed`` then holds
     #: only the waves that completed before the loss
     device_lost: bool = False
+    #: True when a status covered the running last wave and the launch
+    #: ran it whole, because the abort would have added merges costing at
+    #: least the time it saved
+    abort_declined: bool = False
 
     @property
     def executed_groups(self) -> int:
@@ -212,16 +228,18 @@ def run_kernel(
         result.waves += 1
         wave_t_wg = t_wg if weights is None else t_wg * max(weights[i:j])
         if board is not None and variant.abort_in_loops:
-            commit_hi, whole_wave_aborted = yield from _monitored_wave(
-                engine, spec, board, wave_t_wg, variant.abort_granularity, i, j
+            # The last wave: no group is issued after it, because it ends
+            # the window or the status already covers the groups above it.
+            last = i_next == end or j < i_next
+            aborted = yield from _monitored_wave(
+                engine, spec, board, wave_t_wg, variant.abort_granularity,
+                i, j, last, result,
             )
-            if commit_hi > i:
-                result.executed.append((i, commit_hi))
-            result.aborted_groups += j - commit_hi
-            if whole_wave_aborted:
-                result.aborted_groups += end - i_next
+            if aborted:
+                result.aborted_groups += (j - i) + (end - i_next)
                 result.ended_early = True
                 break
+            result.executed.append((i, j))
         else:
             yield engine.timeout(spec.wave_overhead + wave_t_wg)
             result.executed.append((i, j))
@@ -232,14 +250,19 @@ def run_kernel(
     return result
 
 
-def _monitored_wave(engine, spec, board, t_wg, granularity, i, j):
-    """One wave whose work-groups re-check the CPU status inside loops.
+def _monitored_wave(engine, spec, board, t_wg, granularity, i, j, last,
+                    result):
+    """One wave ``[i, j)`` whose work-groups re-check the CPU status
+    inside loops; returns True if the wave was aborted.
 
     Sleeps until the wave completes or a status update lands, whichever is
-    first.  Returns ``(commit_hi, whole_wave_aborted)``: bodies run for
-    ``[i, commit_hi)``; if the CPU overtook the whole wave, the abort takes
-    effect at the next loop-iteration boundary and the wave (plus everything
-    after it) is abandoned.
+    first.  A status that covers only the top of the wave aborts nothing:
+    the wave's slowest group sets its length either way.  Once the status
+    covers the whole wave, the abort takes effect at the next
+    loop-iteration boundary and the wave (plus everything after it) is
+    abandoned.  On the launch's ``last`` wave the abort must also pay: if
+    the merges it adds (``board.abort_price``) cost at least the time from
+    that boundary to the wave's end, the wave runs to its end instead.
     """
     # All wave-deadline arithmetic is integer engine ticks: the re-check
     # boundaries are exact multiples of ``check_ticks`` and the wave-end
@@ -250,22 +273,28 @@ def _monitored_wave(engine, spec, board, t_wg, granularity, i, j):
     check_ticks = max(1, t_wg_ticks // max(1, granularity))
     wave_start = engine.now_ticks
     wave_end = wave_start + t_wg_ticks
-    commit_hi = j
     while True:
-        frontier = board.frontier
-        if frontier <= i:
+        remaining = wave_end - engine.now_ticks
+        if board.frontier <= i:
             elapsed = engine.now_ticks - wave_start
             # Abort at the next loop-iteration boundary (integer ceil-div).
             quantized = min(-(-elapsed // check_ticks) * check_ticks,
                             t_wg_ticks)
+            saved = t_wg_ticks - quantized
+            price = (board.abort_price(i, j)
+                     if last and board.abort_price is not None else 0.0)
+            if price and engine.delay_ticks(price) >= saved:
+                result.abort_declined = True
+                engine.trace("abort_declined", kernel_id=board.kernel_id,
+                             saved=from_ticks(saved), price=price)
+                if remaining > 0:
+                    yield engine.timeout_ticks(remaining)
+                return False
             if quantized > elapsed:
                 yield engine.timeout_ticks(quantized - elapsed)
-            return i, True
-        if frontier < commit_hi:
-            commit_hi = frontier
-        remaining = wave_end - engine.now_ticks
+            return True
         if remaining <= 0:
-            return commit_hi, False
+            return False
         yield engine.any_of(
             [engine.timeout_ticks(remaining), board.gate.wait()]
         )

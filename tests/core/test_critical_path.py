@@ -12,11 +12,15 @@ tests pin each mechanism that took those costs away.
 import numpy as np
 import pytest
 
+from repro.core import runtime as runtime_module
+from repro.core.merge import merge_seconds
+from repro.core.pool import BufferPool
 from repro.core.runtime import FluidiCLRuntime
 from repro.faults import FaultKind, FaultSchedule, install_faults
 from repro.harness.runner import measure_app
 from repro.hw.machine import build_machine
 from repro.obs import EventKind
+from repro.ocl.executor import StatusBoard
 from repro.ocl.health import DeviceLostError
 from repro.ocl.ndrange import NDRange
 from repro.polybench import make_app
@@ -61,13 +65,54 @@ class TestPoolKeepsHelpers:
             assert run.runtime.pool.in_use_count == 0, name
 
 
+def _first_subkernels(run):
+    """Each worker's first ``subkernel_launch`` event and first subkernel
+    command span, keyed by its queue name."""
+    tracer = run.machine.tracer
+    launches, spans = {}, {}
+    for event in tracer.by_kind(EventKind.SUBKERNEL):
+        front = run.runtime.device_set.front_by_name(event["device"])
+        launches.setdefault(front.queue.name, event)
+    for span in sorted(tracer.command_spans(), key=lambda s: s.start):
+        if (span.track in launches
+                and span.attrs["type"] == "ndrange_kernel"):
+            spans.setdefault(span.track, span)
+    return launches, spans
+
+
 class TestLandingAreas:
-    def test_no_landing_area_when_no_worker_ships(self):
-        """scan's kernels credit the CPU nothing, so it never ships and
-        no landing area is allocated."""
+    def test_landing_area_never_blocks_the_host(self):
+        """Every worker allocates its landing areas on its scheduler's
+        thread, in the instant it enqueues its first subkernel, so the
+        allocation runs while that subkernel is queued or running.  scan
+        credits its workers nothing and still allocates them: off every
+        critical path, the host blocks only on pristine copies."""
+        for name in ("gemm", "scan", "histogram"):
+            for preset in ("default", "cpu+2gpu"):
+                run = measure_app(make_app(name, "small", seed=1),
+                                  machine=preset, trace=True)
+                launches, _spans = _first_subkernels(run)
+                spans = run.machine.tracer.event_spans(EventKind.POOL)
+                assert {s.attrs["label"] for s in spans
+                        if s.track == "runtime"} == {"orig"}
+                firsts = {}
+                for span in spans:
+                    if span.attrs["label"] == "cpuin":
+                        firsts.setdefault(span.track, span)
+                assert set(firsts) == {f"{q}-sched" for q in launches}
+                for queue, event in launches.items():
+                    assert firsts[f"{queue}-sched"].start == event.ts
+
+    def test_landing_area_is_allocated_under_the_first_subkernel(self):
+        """scan's Xeon allocates its landing areas while its first
+        subkernel runs, not after it."""
         run = measure_app(make_app("scan", "small", seed=1), trace=True)
-        labels = {e["label"] for e in run.machine.tracer.by_kind(EventKind.POOL)}
-        assert "cpuin" not in labels
+        _launches, spans = _first_subkernels(run)
+        first = spans["fluidicl-w1"]
+        (landing,) = [s for s in run.machine.tracer.event_spans(EventKind.POOL)
+                      if s.attrs["label"] == "cpuin"]
+        assert first.start <= landing.start
+        assert landing.end <= first.end
 
     def test_first_shipment_allocates_on_the_scheduler_thread(self):
         run = measure_app(make_app("gemm", "small", seed=1), trace=True)
@@ -77,6 +122,107 @@ class TestLandingAreas:
         assert {s.track for s in landing} == {"fluidicl-w1-sched"}
         assert {s.track for s in spans if s.attrs["label"] != "cpuin"} == {
             "runtime"}
+
+
+class TestPristineCopiesReturnAtCommit:
+    def test_pristine_copies_return_before_the_landing_areas(
+            self, monkeypatch):
+        """No transfer or merge touches a pristine copy once its kernel
+        has committed, so it returns to the pool at the commit.  The
+        landing areas wait for the worker shipments still in flight on
+        ``hd``: on ``cpu+2gpu``, 3mm's kernel 1 commits while one is."""
+        released = []
+        release = BufferPool.release
+
+        def spy(pool, buffer):
+            released.append((buffer.name, pool.device.engine.now))
+            return release(pool, buffer)
+
+        monkeypatch.setattr(BufferPool, "release", spy)
+        run = measure_app(make_app("3mm", "small", seed=1),
+                          machine="cpu+2gpu", trace=True)
+        commits = [e.ts for e in run.machine.tracer.events
+                   if e.category == "commit"]
+        pristine = [t for name, t in released if name.startswith("orig")]
+        landing = [t for name, t in released if name.startswith("cpuin")]
+        assert pristine == commits
+        assert landing[0] > commits[0]
+
+
+class TestMergeOnlyWhatPays:
+    def test_3mm_commits_without_a_merge(self):
+        """The Xeon's statuses cover only the top of the Tesla's running
+        waves, which run whole: the anchor computes every group of all
+        three kernels, so no landing area is merged."""
+        run = measure_app(make_app("3mm", "small", seed=1))
+        extra = run.runtime.stats.extra
+        assert [r.path for r in run.runtime.records] == ["gpu-only"] * 3
+        assert extra["merges"] == 0
+        assert extra["merges_skipped"] > 0
+        assert all(r.gpu_groups == r.total_groups and r.cpu_groups == 0
+                   for r in run.runtime.records)
+
+    def test_gemm_declines_its_last_wave_abort(self):
+        """The Xeon's window lands during the Tesla's last wave.  Its
+        abort would save 30 us and add a 71 us merge of C, so the wave
+        runs to its end and the kernel commits with no merge."""
+        run = measure_app(make_app("gemm", "small", seed=1), trace=True)
+        (record,) = run.runtime.records
+        assert record.path == "gpu-only"
+        extra = run.runtime.stats.extra
+        assert extra["aborts_declined"] == 1
+        assert extra["merges"] == 0
+        (declined,) = [e for e in run.machine.tracer.events
+                       if e.category == "abort_declined"]
+        assert declined["saved"] == pytest.approx(30.3e-6, abs=0.1e-6)
+        assert declined["price"] == pytest.approx(71.1e-6, abs=0.1e-6)
+        fbuf = _buffer(run.runtime, "C")
+        assert declined["price"] == pytest.approx(merge_seconds(
+            run.runtime.gpu_device.spec, fbuf.nbytes, fbuf.dtype.itemsize))
+
+    def test_cpu_complete_status_always_aborts(self, monkeypatch):
+        """gesummv's Xeon lands all 8 groups during the Tesla's only
+        wave.  A cpu-complete commit merges nothing, so the abort is free
+        whatever the out-buffer's merge would cost, and the anchor stops
+        at its next check."""
+        boards = []
+
+        class Board(StatusBoard):
+            """Records every price the anchor asks for."""
+
+            def __init__(self, *args, **kwargs):
+                self._price = None
+                self.prices = []
+                super().__init__(*args, **kwargs)
+                boards.append(self)
+
+            @property
+            def abort_price(self):
+                if self._price is None:
+                    return None
+
+                def recorded(lo, hi):
+                    self.prices.append((lo, hi, self._price(lo, hi)))
+                    return self.prices[-1][2]
+
+                return recorded
+
+            @abort_price.setter
+            def abort_price(self, price):
+                self._price = price
+
+        monkeypatch.setattr(runtime_module, "StatusBoard", Board)
+        run = measure_app(make_app("gesummv", "test", seed=1))
+        (record,) = run.runtime.records
+        (board,) = boards
+        assert record.path == "cpu-complete"
+        assert board.frontier == 0
+        assert board.prices == [(0, 8, 0.0)]
+        assert run.runtime.stats.extra["aborts_declined"] == 0
+        assert record.gpu_groups == 0
+        # the Tesla's wave would run 4 ms; it stops at the check after
+        # the status (0.367 ms)
+        assert record.gpu_span[1] < 0.5e-3
 
 
 class TestReadBackReadsTheLiveCopy:
@@ -90,11 +236,12 @@ class TestReadBackReadsTheLiveCopy:
         """scan's host took 5 misses with a staging helper per read-back,
         and 2 with a pool keyed by shape; the upsweep's two pristine
         copies now share one allocation, and the downsweep's is carved
-        from it."""
+        from it.  The Xeon's landing allocation runs on its own
+        scheduler's track."""
         run = measure_app(make_app("scan", "small", seed=1), trace=True)
         allocs = run.machine.tracer.event_spans(EventKind.POOL)
-        assert [(s.attrs["label"], s.track) for s in allocs] == [
-            ("orig", "runtime")]
+        assert [(s.attrs["label"], s.track) for s in allocs
+                if s.track == "runtime"] == [("orig", "runtime")]
 
     def test_a_later_writer_waits_for_the_read_back(self):
         """Two back-to-back kernels accumulate into ``y``.  The second

@@ -96,9 +96,21 @@ class TestCreditedContributors:
         ledger = FrontLedger(total=100)
         ledger.claim(1, 20)  # [80, 100)
         ledger.claim(2, 20)  # [60, 80)
-        assert ledger.credited_contributors(100) == []
-        assert ledger.credited_contributors(80) == [1]
-        assert ledger.credited_contributors(60) == [1, 2]
+        assert ledger.credited_above(100, 0) == []
+        assert ledger.credited_above(80, 0) == [1]
+        assert ledger.credited_above(60, 0) == [1, 2]
+
+    def test_windows_at_or_below_the_anchor_top_are_not_merged(self):
+        """A window that ends at or below the anchor's executed top holds
+        only groups the anchor computed itself; one that reaches above
+        it must still be merged."""
+        ledger = FrontLedger(total=100)
+        ledger.claim(1, 20)  # [80, 100)
+        ledger.claim(2, 20)  # [60, 80)
+        assert ledger.credited_above(60, 70) == [1, 2]
+        assert ledger.credited_above(60, 80) == [1]
+        assert ledger.credited_above(60, 99) == [1]
+        assert ledger.credited_above(60, 100) == []
 
 
 class TestFailover:

@@ -99,11 +99,11 @@ class TestFirstLandingWins:
         ledger.mark_landed(2, ledger.shipment_mark(2))
         assert ledger.covered(slow) and ledger.covered(rerun)
         assert ledger.committed_frontier() == 0
-        assert ledger.credited_contributors(0) == [2]
+        assert ledger.credited_above(0, 0) == [2]
         assert ledger.sole_contributor() == 2
         # the claimant's copy lands later: the credit stays put
         ledger.mark_landed(1, ledger.shipment_mark(1))
-        assert ledger.credited_contributors(0) == [2]
+        assert ledger.credited_above(0, 0) == [2]
         assert ledger.sole_contributor() == 2
 
     def test_a_rerun_that_loses_the_race_credits_nothing(self):
@@ -115,7 +115,7 @@ class TestFirstLandingWins:
         ledger.mark_landed(1, ledger.shipment_mark(1))
         assert ledger.covered(rerun)
         ledger.mark_landed(2, ledger.shipment_mark(2))
-        assert ledger.credited_contributors(0) == [1]
+        assert ledger.credited_above(0, 0) == [1]
         assert ledger.sole_contributor() == 1
 
     def test_committed_frontier_never_moves_back_up(self):
@@ -135,4 +135,4 @@ class TestFirstLandingWins:
         ledger.mark_landed(1, 1)
         seen.append(ledger.committed_frontier())
         assert seen == [0, 0, 0]
-        assert ledger.credited_contributors(0) == [2, 3]
+        assert ledger.credited_above(0, 0) == [2, 3]

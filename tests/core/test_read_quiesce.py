@@ -36,15 +36,15 @@ LOCAL = 16
 ALPHA = 2.0
 
 
-def run_kernel(runtime, gpu_eff, cpu_eff):
-    spec = make_scale_kernel(N, LOCAL, gpu_eff=gpu_eff, cpu_eff=cpu_eff,
+def run_kernel(runtime, gpu_eff, cpu_eff, n=N):
+    spec = make_scale_kernel(n, LOCAL, gpu_eff=gpu_eff, cpu_eff=cpu_eff,
                              work_scale=32.0)
-    x = np.arange(N, dtype=np.float32)
-    buf_x = runtime.create_buffer("x", (N,), np.float32)
-    buf_y = runtime.create_buffer("y", (N,), np.float32)
+    x = np.arange(n, dtype=np.float32)
+    buf_x = runtime.create_buffer("x", (n,), np.float32)
+    buf_y = runtime.create_buffer("y", (n,), np.float32)
     runtime.enqueue_write_buffer(buf_x, x)
     record = runtime.enqueue_nd_range_kernel(
-        spec, NDRange(N, LOCAL), {"x": buf_x, "y": buf_y, "alpha": ALPHA}
+        spec, NDRange(n, LOCAL), {"x": buf_x, "y": buf_y, "alpha": ALPHA}
     )
     return buf_y, record, ALPHA * x
 
@@ -105,14 +105,15 @@ class TestAnchorWritersAreRecorded:
         """The diff+merge writes the anchor copy; a quiescing reader must
         see it as an in-flight kernel write, like any subkernel.  The GPU
         is slowed enough that the CPU's results land before the anchor
-        ends, so the kernel merges."""
+        ends, and the 128 groups take the Tesla two waves, so the CPU's
+        window lies above the one wave the anchor runs and is merged."""
         runtime = FluidiCLRuntime(build_machine())
         buf_y, record, expected = run_kernel(runtime, gpu_eff=0.3,
-                                             cpu_eff=0.5)
+                                             cpu_eff=0.5, n=2 * N)
         assert record.path == "merged"
         assert (buf_y.last_write[0].command_type
                 is CommandType.ND_RANGE_KERNEL)
-        y = np.zeros(N, dtype=np.float32)
+        y = np.zeros(2 * N, dtype=np.float32)
         runtime.enqueue_read_buffer(buf_y, y)
         runtime.finish()
         runtime.drain()

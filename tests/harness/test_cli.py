@@ -55,6 +55,21 @@ class TestTraceSubcommand:
         )
         assert "metrics" in trace["otherData"]
 
+    def test_metrics_show_declined_aborts_and_skipped_merges(
+            self, capsys, tmp_path):
+        """gemm's Tesla runs its covered last wave whole (a 71 us merge
+        against 30 us saved), so the Xeon's landing area is not merged."""
+        out_path = tmp_path / "trace.json"
+        assert main(["trace", "--app", "gemm", "--scale", "small",
+                     "--no-gantt", "--out", str(out_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "gpu-only" in printed
+        assert "'merges': 0, 'merges_skipped': 1, 'aborts_declined': 1" in printed
+        with open(out_path, encoding="utf-8") as handle:
+            metrics = json.load(handle)["otherData"]["metrics"]
+        assert metrics["aborts_declined"] == 1
+        assert metrics["merges_skipped"] == 1
+
     def test_no_gantt_skips_chart(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
         assert main(["trace", "--smoke", "--no-gantt",

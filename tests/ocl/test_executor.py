@@ -93,6 +93,15 @@ class TestPlainExecution:
 
 
 class TestStatusBoard:
+    def test_finalize_drops_the_abort_price(self, engine):
+        """The runtime's price refers back to its kernel plan, which
+        refers to the board; dropping it at finalize breaks that cycle,
+        so a finished kernel's buffers are freed without a GC pass."""
+        board = StatusBoard(engine, 100)
+        board.abort_price = lambda lo, hi: 1.0
+        board.finalize()
+        assert board.abort_price is None
+
     def test_initial_state(self, engine):
         board = StatusBoard(engine, 100)
         assert board.frontier == 100
@@ -131,14 +140,18 @@ class TestStatusBoard:
 
 class TestAbortProtocol:
     def _cooperative_launch(self, machine, platform, n_groups=64,
-                            abort_in_loops=True, cover_at=0.0, frontier=0):
+                            abort_in_loops=True, cover_at=0.0, frontier=0,
+                            abort_price=None):
         """GPU kernel over ``n_groups`` with a status update arriving
         ``cover_at`` seconds *into the first wave*, claiming groups >=
-        ``frontier``."""
+        ``frontier``; an abort of the last wave adds merges costing
+        ``abort_price`` seconds."""
         gpu = platform.gpu
         queue = platform.create_context().create_queue(gpu)
         spec = make_scale_kernel(n_groups * 16, gpu_eff=0.5, loop_iters=64)
         board = StatusBoard(machine.engine, n_groups)
+        if abort_price is not None:
+            board.abort_price = lambda lo, hi: abort_price
         variant = gpu_fluidic_variant(spec, abort_in_loops=abort_in_loops)
         config = LaunchConfig(status_board=board)
         wave_begin = gpu.spec.kernel_launch_overhead + gpu.spec.wave_overhead
@@ -199,7 +212,9 @@ class TestAbortProtocol:
         assert result.duration >= t_wg
 
     def test_partial_tail_abort_within_wave(self, machine, platform):
-        """Coverage of the wave's tail mid-flight aborts only those groups."""
+        """Coverage of the wave's tail mid-flight aborts nothing: the
+        wave's slowest group sets its length, so the covered groups are
+        computed anyway and the wave stays whole."""
         spec = make_scale_kernel(64 * 16, gpu_eff=0.5, loop_iters=64)
         gpu = platform.gpu
         t_wg = wg_time(
@@ -208,8 +223,47 @@ class TestAbortProtocol:
         result, y, _spec, _gpu = self._cooperative_launch(
             machine, platform, cover_at=t_wg * 0.3, frontier=40
         )
-        assert (0, 40) in result.executed
-        assert result.aborted_groups == 24
+        assert result.executed == [(0, 64)]
+        assert result.aborted_groups == 0
+        assert not result.ended_early
+        assert np.all(y.array == 2.0)
+
+    def _last_wave_covered(self, machine, platform, price_in_waves):
+        """One-wave launch whose whole wave a status covers 30% into it;
+        the abort would add merges costing ``price_in_waves`` group
+        times."""
+        spec = make_scale_kernel(64 * 16, gpu_eff=0.5, loop_iters=64)
+        gpu = platform.gpu
+        t_wg = wg_time(
+            spec.cost, gpu.spec, gpu_fluidic_variant(spec).time_multiplier
+        )
+        assert 64 <= gpu.spec.concurrent_workgroups  # the last wave
+        result, y, _spec, _gpu = self._cooperative_launch(
+            machine, platform, cover_at=t_wg * 0.3, frontier=0,
+            abort_price=price_in_waves * t_wg,
+        )
+        return result, y, t_wg
+
+    def test_covered_last_wave_runs_whole_when_the_merge_costs_more(
+            self, machine, platform):
+        """About 0.7 of a group time is left after the abort's check
+        boundary; merges priced at 0.8 of one do not pay, so the wave
+        runs to its end and the launch records the declined abort."""
+        result, y, t_wg = self._last_wave_covered(machine, platform, 0.8)
+        assert result.executed == [(0, 64)]
+        assert result.aborted_groups == 0
+        assert not result.ended_early
+        assert result.abort_declined
+        assert result.duration >= t_wg
+        assert np.all(y.array == 2.0)
+
+    def test_covered_last_wave_aborts_when_the_merge_costs_less(
+            self, machine, platform):
+        result, _y, t_wg = self._last_wave_covered(machine, platform, 0.5)
+        assert result.executed_groups == 0
+        assert result.ended_early
+        assert not result.abort_declined
+        assert result.duration < 0.75 * t_wg
 
     def test_accounting_invariant(self, machine, platform):
         for frontier in (0, 17, 40, 64):

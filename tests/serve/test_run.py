@@ -114,22 +114,22 @@ PINNED = {
         dict(seed=0, requests=300, n_tenants=3, utilization=1.5,
              max_queue_depth=32, max_inflight=2, fault_seed=2, fault_n=3),
         {
-            "tenant0": ("bicg", "interactive", 162.0, 124.0, 38.0, 124.0, 0.0,
-                        15.651210561427268, 21.420761658711193,
-                        21.67180843291477,
-                        1499.1947000643388, 0.2345679012345679,
-                        0.5806451612903226, 32.0),
+            "tenant0": ("bicg", "interactive", 162.0, 123.0, 39.0, 123.0, 0.0,
+                        14.18310297293133, 21.55951677517846,
+                        21.918357937194433,
+                        1579.1785044294184, 0.24074074074074073,
+                        0.7886178861788617, 32.0),
             "tenant1": ("gesummv", "interactive", 62.0, 62.0, 0.0, 42.0, 20.0,
-                        6.262352251487265, 12.098358388363552,
-                        14.579100980656511,
-                        507.79175324759865, 0.0, 1.0, 20.0),
+                        5.91745736377692, 11.362726275798295,
+                        13.590512992110526,
+                        539.2316844393135, 0.0, 1.0, 20.0),
             "tenant2": ("scan", "batch", 76.0, 76.0, 0.0, 76.0, 0.0,
-                        21.600432669160146, 32.03407141307938,
-                        33.19342248177415,
-                        918.861267781369, 0.0, 1.0, 30.0),
+                        19.773688148255683, 32.6488893322403,
+                        33.876099522756114,
+                        975.7525718425675, 0.0, 1.0, 31.0),
         },
-        (300.0, 262.0, 38.0, 242.0, 20.0, 0.12666666666666668,
-         2925.8477210933065, 0.7851239669421488),
+        (300.0, 261.0, 39.0, 241.0, 20.0, 0.13,
+         3094.162760711299, 0.8921161825726142),
     ),
     "closed-loop": (
         dict(seed=2, requests=300, n_tenants=3, arrival="closed",

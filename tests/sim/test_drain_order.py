@@ -176,8 +176,8 @@ class TestTwoDeviceGoldenOrder:
         "cmd_start", "buffer_write", "kernel_begin", "alloc_begin", "cmd_end",
         "cmd_start", "cmd_end", "cmd_end", "cmd_start", "cmd_end", "cmd_start",
         "cmd_end", "alloc_end", "cmd_start", "cmd_end", "cmd_start",
-        "subkernel_launch", "cmd_start", "cmd_end", "alloc_begin",
-        "alloc_end", "cmd_start", "cmd_end", "cmd_start", "status_delivery",
+        "subkernel_launch", "alloc_begin", "cmd_start", "alloc_end",
+        "cmd_end", "cmd_start", "cmd_end", "cmd_start", "status_delivery",
         "cmd_end", "cmd_end", "commit", "kernel_end",
         "cmd_start", "cmd_end", "buffer_read", "cmd_start", "cmd_end",
         "cmd_start", "cmd_end", "cmd_start", "cmd_end", "cmd_start", "cmd_end",
