@@ -1,19 +1,19 @@
-"""Persisted benchmark harness: wall-clock measurement of the hot paths.
+"""Persisted benchmark harness: wall-clock measurement of the layer micros.
 
 The simulator reports *simulated* seconds — the paper's metric — but the
 repository itself must also run "as fast as the hardware allows"
-(ROADMAP).  :mod:`repro.bench` measures the *host* cost of the measured
-hot paths (engine event churn, subkernel launch rate, fuzzer seeds/sec,
-full cooperative runs over a pinned app × config matrix) with
+(ROADMAP).  :mod:`repro.bench` measures the *host* cost of one layer at
+a time (engine event churn, process wakeups, subkernel launch rate, host
+round-trips, fuzzer seeds/sec, the closed-loop serve path) with
 ``time.perf_counter``, and persists schema-versioned ``BENCH_<n>.json``
-snapshots so every future PR has a perf trajectory to answer to.
+snapshots so every future PR has a perf trajectory to answer to.  Whole
+cooperative runs are timed by ``perfbench/``; their simulated seconds
+are pinned by ``tests/bench/test_sim_pins.py``.
 
 Three layers:
 
 * :mod:`repro.bench.measure` — warmup + repeats wall-clock timing.
-* :mod:`repro.bench.micro` / :mod:`repro.bench.matrix` — the pinned
-  benchmark definitions (engine microbenchmarks; polybench apps ×
-  machine configs × optimization toggles).
+* :mod:`repro.bench.micro` — the pinned microbenchmark definitions.
 * :mod:`repro.bench.snapshot` — ``BENCH_<n>.json`` persistence, baseline
   discovery and threshold-gated regression comparison.
 
@@ -23,7 +23,6 @@ Run it via ``python -m repro.harness bench`` (see
 
 from repro.bench.measure import Measurement, measure
 from repro.bench.micro import MICRO_BENCHMARKS, run_micro_benchmarks
-from repro.bench.matrix import APP_MATRIX, run_app_matrix
 from repro.bench.snapshot import (
     SCHEMA_VERSION,
     BenchResult,
@@ -40,8 +39,6 @@ __all__ = [
     "measure",
     "MICRO_BENCHMARKS",
     "run_micro_benchmarks",
-    "APP_MATRIX",
-    "run_app_matrix",
     "SCHEMA_VERSION",
     "BenchResult",
     "BenchSnapshot",

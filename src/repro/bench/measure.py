@@ -1,8 +1,8 @@
 """Wall-clock measurement with warmup: the one timing loop of the bench.
 
-Every benchmark case — micro or app — is a zero-argument callable; the
-harness runs it ``warmup`` times untimed (bytecode caches, allocator
-pools and branch predictors settle), then ``repeats`` timed runs with
+Every benchmark case is a zero-argument callable; the harness runs it
+``warmup`` times untimed (bytecode caches, allocator pools and branch
+predictors settle), then ``repeats`` timed runs with
 ``time.perf_counter``.  The *best* run is the headline number: on a
 shared machine the minimum is the least-noise estimate of the code's
 intrinsic cost, and the mean/spread are kept alongside for context.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 __all__ = ["Measurement", "measure"]
 
@@ -40,15 +40,9 @@ class Measurement:
         return (max(self.runs) - min(self.runs)) / self.best if self.best else 0.0
 
 
-def measure(fn: Callable[[], Any], repeats: int = 3, warmup: int = 1,
-            min_repeats: int = 1,
-            budget_seconds: Optional[float] = None) -> Measurement:
-    """Time ``fn()``: ``warmup`` untimed runs, then ``repeats`` timed ones.
-
-    ``budget_seconds``, when given, stops early once the *timed* runs have
-    consumed the budget (at least ``min_repeats`` always run), keeping CI
-    smoke runs bounded without changing what is measured.
-    """
+def measure(fn: Callable[[], Any], repeats: int = 3,
+            warmup: int = 1) -> Measurement:
+    """Time ``fn()``: ``warmup`` untimed runs, then ``repeats`` timed ones."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if warmup < 0:
@@ -56,15 +50,9 @@ def measure(fn: Callable[[], Any], repeats: int = 3, warmup: int = 1,
     for _ in range(warmup):
         fn()
     out = Measurement()
-    spent = 0.0
-    for i in range(repeats):
+    for _ in range(repeats):
         began = time.perf_counter()
         result = fn()
-        elapsed = time.perf_counter() - began
-        out.runs.append(elapsed)
+        out.runs.append(time.perf_counter() - began)
         out.last_result = result
-        spent += elapsed
-        if (budget_seconds is not None and spent >= budget_seconds
-                and i + 1 >= min_repeats):
-            break
     return out

@@ -3,16 +3,16 @@
 Each case isolates one layer the profile says dominates ``harness``
 wall time: raw event churn through :class:`~repro.sim.core.Engine`,
 process wakeups, the §5.3 condition-wait pattern, the cooperative
-subkernel launch path, the host write/read round-trip, and the fuzzer's
-seeds/second.  Iteration counts are pinned (full vs smoke) so snapshots
-compare like-for-like.
+subkernel launch path, the host write/read round-trip, the fuzzer's
+seeds/second and the closed-loop serve path.  Iteration counts are
+pinned (full vs smoke) so snapshots compare like-for-like.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -185,27 +185,6 @@ def _fuzzer_seeds(n: int) -> dict:
     return {"work": n, "simulated": simulated, "meta": {"outcomes": outcomes}}
 
 
-def _serve_dispatch(n: int) -> dict:
-    """``n`` open-loop requests through the serving layer (repro.serve).
-
-    Measures the dispatch hot path end to end — admission, weighted-fair
-    queueing, the staged job pipeline and the online serve-accounting
-    monitor — in jobs per wall second.  App profiles are measured once
-    per process and cached, so repeats time only the serving itself.
-    """
-    from repro.serve.run import ServeConfig, run_serve
-
-    report = run_serve(ServeConfig(seed=0, requests=n, arrival="poisson"))
-    if report.violations:
-        raise AssertionError(
-            f"bench serve run found violations: "
-            f"{[str(v) for v in report.violations]}"
-        )
-    return {"work": n, "simulated": report.simulated_seconds,
-            "meta": {"throughput_jobs_per_sim_s": report.totals["throughput"],
-                     "digest": report.digest}}
-
-
 def _serve_p99_closed_loop(n: int) -> dict:
     """``n`` closed-loop requests; the tail-latency reporting path.
 
@@ -237,21 +216,16 @@ MICRO_BENCHMARKS = (
               functools.partial(_subkernel_launch_rate, preset="cpu+2gpu")),
     MicroCase("host_roundtrip", "ops/s", 300, 50, _host_roundtrip),
     MicroCase("fuzzer_seeds", "seeds/s", 6, 2, _fuzzer_seeds),
-    MicroCase("serve_dispatch", "jobs/s", 5_000, 500, _serve_dispatch),
     MicroCase("serve_p99.closed_loop", "jobs/s", 2_000, 300,
               _serve_p99_closed_loop),
 )
 
 
 def run_micro_benchmarks(smoke: bool = False, repeats: int = 3,
-                         warmup: int = 1,
-                         names: Optional[List[str]] = None,
-                         ) -> List[BenchResult]:
-    """Measure every (selected) microbenchmark; see :mod:`repro.bench`."""
+                         warmup: int = 1) -> List[BenchResult]:
+    """Measure every microbenchmark; see :mod:`repro.bench`."""
     results: List[BenchResult] = []
     for case in MICRO_BENCHMARKS:
-        if names is not None and case.name not in names:
-            continue
         n = case.smoke_n if smoke else case.full_n
         # Smoke cases carry a distinct id: their simulated seconds and
         # throughput are functions of n, so a smoke run must never be

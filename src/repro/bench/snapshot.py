@@ -7,10 +7,10 @@ and uncommitted ones are git-ignored, so a plain ``harness bench`` run
 leaves the working tree clean.
 
 Comparison is throughput-based (higher is better): a case *regresses*
-when ``baseline_throughput / current_throughput > threshold``.  App cases
-additionally carry their *simulated* seconds, which must not drift at
-all between snapshots taken on the same code — wall-clock optimization
-must never change what the simulator computes.
+when ``baseline_throughput / current_throughput > threshold``.  Cases
+also carry the *simulated* seconds of the work they timed, which must
+not drift at all between snapshots taken on the same code — wall-clock
+optimization must never change what the simulator computes.
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ class BenchResult:
     """One benchmark case's outcome."""
 
     #: stable case identifier, e.g. ``micro.event_churn`` or
-    #: ``app.gesummv.small.default``
+    #: ``micro.event_churn.smoke``
     id: str
-    #: ``micro`` (engine/runtime hot path) or ``app`` (full cooperative run)
+    #: ``micro`` (engine/runtime hot path); snapshots up to BENCH_10 also
+    #: hold ``app`` cases (full cooperative runs)
     kind: str
     #: what ``throughput`` counts, e.g. ``events/s``, ``subkernels/s``
     unit: str
@@ -71,7 +72,8 @@ class BenchResult:
     spread: float
     #: timed repeats that ran
     repeats: int
-    #: simulated seconds of the run (app cases; None for pure-host micros)
+    #: simulated seconds of the timed work (None when a case simulates
+    #: nothing)
     simulated_seconds: Optional[float] = None
     #: case-specific extras (speedups, counters, problem sizes, ...)
     meta: Dict[str, object] = field(default_factory=dict)
@@ -85,7 +87,7 @@ class BenchSnapshot:
     schema_version: int = SCHEMA_VERSION
     created_at: str = ""
     host: Dict[str, str] = field(default_factory=dict)
-    #: the matrix/flags this run used (smoke vs full, repeats, ...)
+    #: the sizes and flags this run used (smoke vs full, repeats, ...)
     config: Dict[str, object] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
@@ -171,7 +173,7 @@ class CaseComparison:
     #: current/baseline throughput: >1 is a speedup, <1 a slowdown
     ratio: float
     regressed: bool
-    #: simulated seconds drifted beyond float tolerance (app cases)
+    #: simulated seconds drifted beyond float tolerance
     simulated_drift: bool = False
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, List, Optional
 
 from repro.check.fuzzer import CheckResult, FuzzConfig, run_config
+from repro.core.config import FluidiCLConfig
 
 __all__ = ["ShrinkResult", "shrink", "reproducer_source"]
 
@@ -27,6 +28,12 @@ _MIN_SIZE = 64
 
 #: the single-kernel benchmark every app-independent failure reduces to
 _SIMPLEST_APP = "gesummv"
+
+#: the runtime knobs a FuzzConfig carries, reset to ``FluidiCLConfig()``'s
+#: values: the chunker pair in one step, then each toggle on its own
+_CHUNKER = ("initial_chunk_fraction", "chunk_step_fraction")
+_TOGGLES = ("abort_in_loops", "loop_unroll", "cpu_wg_split",
+            "use_buffer_pool", "location_tracking", "online_profiling")
 
 
 @dataclass
@@ -94,16 +101,12 @@ def _candidates(config: FuzzConfig) -> Iterator[tuple]:
         yield "reset gpu_scale to 1.0", replace(config, gpu_scale=1.0)
     if config.cpu_scale != 1.0:
         yield "reset cpu_scale to 1.0", replace(config, cpu_scale=1.0)
-    if (config.initial_chunk_fraction, config.chunk_step_fraction) != (0.10, 0.10):
-        yield ("reset chunker to defaults",
-               replace(config, initial_chunk_fraction=0.10,
-                       chunk_step_fraction=0.10))
-    defaults = {
-        "abort_in_loops": True, "loop_unroll": True, "cpu_wg_split": True,
-        "use_buffer_pool": True, "location_tracking": True,
-        "online_profiling": False,
-    }
-    for name, default in defaults.items():
+    defaults = FluidiCLConfig()
+    chunker = {name: getattr(defaults, name) for name in _CHUNKER}
+    if any(getattr(config, name) != value for name, value in chunker.items()):
+        yield "reset chunker to defaults", replace(config, **chunker)
+    for name in _TOGGLES:
+        default = getattr(defaults, name)
         if getattr(config, name) != default:
             yield (f"reset {name} to {default}",
                    replace(config, **{name: default}))

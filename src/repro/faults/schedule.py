@@ -161,6 +161,8 @@ class FaultSchedule:
         lo, hi = window
         if not 0 <= lo <= hi:
             raise ValueError("window must satisfy 0 <= lo <= hi")
+        if n < 0:
+            raise ValueError("n must be >= 0")
         rng = random.Random(seed)
         pool = list(kinds) if kinds else list(FaultKind)
         specs = []

@@ -14,7 +14,7 @@ Subcommands:
   for FK4xx/FK5xx inter-stage dataflow hazards, in one report (see
   :mod:`repro.harness.lint_cli` and :mod:`repro.analysis`).
 - ``python -m repro.harness bench [--smoke] [--threshold X]`` — run the
-  pinned benchmark matrix, persist a ``BENCH_<n>.json`` snapshot and gate
+  pinned layer microbenchmarks, persist a ``BENCH_<n>.json`` snapshot and gate
   wall-clock regressions against the committed baseline (see
   :mod:`repro.harness.bench_cli` and :mod:`repro.bench`).
 - ``python -m repro.harness scenarios [--list] [names...]`` — run named,
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
             "checking (python -m repro.harness check --help); 'lint' runs "
             "the static kernel and pipeline analyzers over the suite and "
             "examples (python -m repro.harness lint --help); 'bench' runs the "
-            "pinned benchmark matrix and persists a BENCH_<n>.json "
+            "pinned layer microbenchmarks and persists a BENCH_<n>.json "
             "snapshot (python -m repro.harness bench --help); 'scenarios' "
             "runs named seeded demo scenarios through the coherence-"
             "checked pipeline (python -m repro.harness scenarios --help); "

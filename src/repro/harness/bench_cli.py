@@ -1,10 +1,12 @@
-"""``python -m repro.harness bench``: run the pinned benchmark matrix.
+"""``python -m repro.harness bench``: run the pinned layer microbenchmarks.
 
-Runs the engine microbenchmarks and the polybench app matrix
-(:mod:`repro.bench`), prints one throughput table, persists a
-schema-versioned ``BENCH_<n>.json`` snapshot (next free number — never
-rewriting an existing, possibly committed snapshot) and gates against a
-baseline snapshot with a configurable wall-clock regression threshold.
+Runs the engine and runtime microbenchmarks (:mod:`repro.bench`), prints
+one throughput table, persists a schema-versioned ``BENCH_<n>.json``
+snapshot (next free number — never rewriting an existing, possibly
+committed snapshot) and gates against a baseline snapshot with a
+configurable wall-clock regression threshold.  Whole cooperative runs
+are timed by ``perfbench/``, and their simulated seconds are tier-1
+pins (``tests/bench/test_sim_pins.py``).
 
 Exit status: 0 on success, 1 when any case regressed beyond the
 threshold or its *simulated* seconds drifted (a behaviour change, not a
@@ -19,7 +21,6 @@ import json
 import time
 from typing import List, Optional
 
-from repro.bench.matrix import run_app_matrix
 from repro.bench.micro import run_micro_benchmarks
 from repro.bench.snapshot import (
     BenchSnapshot,
@@ -41,22 +42,14 @@ DEFAULT_THRESHOLD = 1.5
 
 
 def run_bench(smoke: bool = False, repeats: int = 3, warmup: int = 1,
-              micro_only: bool = False, apps_only: bool = False,
               notes: Optional[List[str]] = None) -> BenchSnapshot:
     """Run the pinned suite and return the (unpersisted) snapshot."""
-    results = []
-    if not apps_only:
-        results += run_micro_benchmarks(smoke=smoke, repeats=repeats,
-                                        warmup=warmup)
-    if not micro_only:
-        results += run_app_matrix(smoke=smoke, repeats=repeats,
-                                  warmup=warmup)
     return BenchSnapshot(
-        results=results,
+        results=run_micro_benchmarks(smoke=smoke, repeats=repeats,
+                                     warmup=warmup),
         created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         host=host_fingerprint(),
-        config={"smoke": smoke, "repeats": repeats, "warmup": warmup,
-                "micro_only": micro_only, "apps_only": apps_only},
+        config={"smoke": smoke, "repeats": repeats, "warmup": warmup},
         notes=list(notes or []),
     )
 
@@ -100,14 +93,13 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness bench",
         description=(
-            "Run the pinned benchmark matrix (engine microbenchmarks + "
-            "polybench app matrix), persist a BENCH_<n>.json snapshot and "
-            "gate against a baseline snapshot."
+            "Run the pinned engine and runtime microbenchmarks, persist a "
+            "BENCH_<n>.json snapshot and gate against a baseline snapshot."
         ),
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="reduced matrix with small iteration counts (CI)",
+        help="small iteration counts (ids get a .smoke suffix)",
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
@@ -116,14 +108,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--warmup", type=int, default=1,
         help="untimed warmup runs per case (default: 1)",
-    )
-    parser.add_argument(
-        "--micro-only", action="store_true",
-        help="run only the engine microbenchmarks",
-    )
-    parser.add_argument(
-        "--apps-only", action="store_true",
-        help="run only the polybench app matrix",
     )
     parser.add_argument(
         "--dir", default=".", metavar="DIR",
@@ -164,17 +148,12 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         help="free-form note recorded in the snapshot (repeatable)",
     )
     args = parser.parse_args(argv)
-    if args.micro_only and args.apps_only:
-        parser.error("--micro-only and --apps-only are mutually exclusive")
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
     began = time.perf_counter()
-    snapshot = run_bench(
-        smoke=args.smoke, repeats=args.repeats, warmup=args.warmup,
-        micro_only=args.micro_only, apps_only=args.apps_only,
-        notes=args.note,
-    )
+    snapshot = run_bench(smoke=args.smoke, repeats=args.repeats,
+                         warmup=args.warmup, notes=args.note)
     total_wall = time.perf_counter() - began
 
     # Baseline resolution happens *before* persisting, so a fresh snapshot
@@ -213,7 +192,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         mode = "smoke" if args.smoke else "full"
-        print(f"== bench: {mode} matrix, {len(snapshot.results)} cases, "
+        print(f"== bench: {mode} sizes, {len(snapshot.results)} cases, "
               f"{total_wall:.1f}s wall ==")
         print(render_results(snapshot))
         if comparison is not None:

@@ -1,7 +1,9 @@
 """The one entry point that runs an application, and the timers on it.
 
 The harness experiments (all but ``ext_load``, see DESIGN.md), ``harness
-trace`` and the bench app matrix run apps through :func:`measure_app`.
+trace``, the bench's subkernel-launch micros and the simulated-seconds
+pins of ``tests/bench/test_sim_pins.py`` run apps through
+:func:`measure_app`.
 The simulator is deterministic, so a single run per configuration
 replaces the paper's average-of-ten methodology.
 """

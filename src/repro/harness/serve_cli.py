@@ -80,7 +80,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                         help="MMPP ON-state time fraction (default: 0.25)")
     parser.add_argument("--clients", type=bounded(int, 1), default=8,
                         help="closed-loop client count (default: 8)")
-    parser.add_argument("--think", type=float, default=None,
+    parser.add_argument("--think", type=bounded(float, 0), default=None,
                         help="closed-loop mean think time in seconds "
                              "(default: derived from --utilization)")
     parser.add_argument("--tenants", type=_parse_tenants, default=None,
@@ -99,7 +99,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--faults", type=int, default=None, metavar="SEED",
                         help="install a seeded fault schedule (composes the "
                              "fault injector)")
-    parser.add_argument("--fault-n", type=int, default=3,
+    parser.add_argument("--fault-n", type=bounded(int, 1), default=3,
                         help="faults in the --faults schedule (default: 3)")
     parser.add_argument("--jitter-seed", type=int, default=None,
                         help="arm same-instant interleave jitter")
@@ -108,7 +108,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                              "('-' for stdout)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="also export a Chrome trace of the run")
-    parser.add_argument("--max-shed-rate", type=float, default=None,
+    parser.add_argument("--max-shed-rate", type=bounded(float, 0),
+                        default=None,
                         help="fail (exit 1) if the overall shed rate "
                              "exceeds this fraction")
     parser.add_argument("--strict", action="store_true",

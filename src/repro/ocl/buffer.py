@@ -126,8 +126,7 @@ class Buffer:
             array = self._array = np.empty(self.shape, dtype=self.dtype)
         return array
 
-    def write_from(self, host_array: np.ndarray,
-                   region: Optional[slice] = None) -> None:
+    def write_from(self, host_array: np.ndarray) -> None:
         """Device-side effect of a completed host-to-device transfer.
 
         A read-only array of exactly this buffer's dtype and shape — what
@@ -135,14 +134,11 @@ class Buffer:
         other source is copied into a private array.
         """
         self._check_live()
-        if region is None and self._is_frozen(host_array):
+        if self._is_frozen(host_array):
             self._array = host_array
             return
         src = np.asarray(host_array, dtype=self.dtype).reshape(self.shape)
-        if region is None:
-            np.copyto(self._overwrite_target(), src)
-        else:
-            self.array.reshape(-1)[region] = src.reshape(-1)[region]
+        np.copyto(self._overwrite_target(), src)
 
     def read_into(self, host_array: np.ndarray) -> None:
         """Device-side effect of a completed device-to-host transfer.

@@ -22,10 +22,9 @@ class CLEvent:
     """
 
     __slots__ = ("id", "command_type", "status", "queued", "started",
-                 "finished", "done", "info", "result", "error")
+                 "finished", "done", "result", "error")
 
-    def __init__(self, engine: Engine, command_type: CommandType,
-                 info: Optional[dict] = None):
+    def __init__(self, engine: Engine, command_type: CommandType):
         self.id = next(_event_ids)
         self.command_type = command_type
         self.status = CommandStatus.QUEUED
@@ -34,7 +33,6 @@ class CLEvent:
         self.finished: Optional[float] = None
         # unnamed on purpose: one f-string per command shows up in profiles
         self.done: Event = Event(engine)
-        self.info = dict(info or {})
         #: command-specific result (e.g. kernel execution summary)
         self.result: Any = None
         #: the error that cancelled this command, if any

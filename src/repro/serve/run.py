@@ -72,6 +72,10 @@ class ServeConfig:
             raise ValueError(f"unknown arrival model {self.arrival!r}")
         if not 0.0 < self.utilization:
             raise ValueError("utilization must be > 0")
+        if self.think_time is not None and self.think_time < 0:
+            raise ValueError("think_time must be >= 0")
+        if self.fault_seed is not None and self.fault_n < 1:
+            raise ValueError("fault_n must be >= 1 when fault_seed is set")
 
     def resolve_tenants(self) -> Tuple[TenantSpec, ...]:
         return self.tenants or default_tenant_mix(self.seed, self.n_tenants)

@@ -31,14 +31,7 @@ from repro.sim.core import (
 )
 from repro.sim.resources import Channel, Resource
 from repro.sim.sync import Gate, Latch
-from repro.sim.timebase import (
-    SubMicrosecondResidueError,
-    from_ticks,
-    from_us,
-    is_us_aligned,
-    to_ticks,
-    to_us,
-)
+from repro.sim.timebase import from_ticks, is_us_aligned, to_ticks
 
 __all__ = [
     "AllOf",
@@ -53,11 +46,8 @@ __all__ = [
     "Resource",
     "SimDeadlockError",
     "SimError",
-    "SubMicrosecondResidueError",
     "Timeout",
     "from_ticks",
-    "from_us",
     "is_us_aligned",
     "to_ticks",
-    "to_us",
 ]

@@ -25,9 +25,7 @@ microseconds would change every simulated schedule.  One tick is
   carry a million independent sub-``1e-21``-second errors instead of a
   compounding float sum.
 
-Conversions round half-to-even (Python's :func:`round`), and the
-``strict`` forms reject values carrying sub-microsecond residue instead
-of silently quantizing them.
+Conversions round half-to-even (Python's :func:`round`).
 """
 
 from __future__ import annotations
@@ -39,14 +37,9 @@ __all__ = [
     "TICK_BITS",
     "TICKS_PER_US",
     "NEGATIVE_SLACK_SECONDS",
-    "SubMicrosecondResidueError",
     "to_ticks",
     "from_ticks",
     "delay_to_ticks",
-    "to_us",
-    "from_us",
-    "us_to_ticks",
-    "ticks_to_us",
     "is_us_aligned",
 ]
 
@@ -70,10 +63,6 @@ NEGATIVE_SLACK_SECONDS = 1e-9
 
 #: the same slack in ticks (exact: 1e-9 s = 1e-3 µs -> scaled once)
 NEGATIVE_SLACK_TICKS = round(ldexp(1e-9 * US_PER_SECOND, TICK_BITS))
-
-
-class SubMicrosecondResidueError(ValueError):
-    """A strict conversion met a value with sub-microsecond residue."""
 
 
 def to_ticks(seconds: float) -> int:
@@ -118,52 +107,6 @@ def delay_to_ticks(delay: float) -> int:
             raise ValueError(f"cannot schedule into the past: {delay!r}")
         return 0
     return to_ticks(delay)
-
-
-def to_us(seconds: float, strict: bool = False) -> int:
-    """Integer microseconds for float seconds (round half-to-even).
-
-    With ``strict=True`` a value that is not an exact microsecond
-    multiple raises :class:`SubMicrosecondResidueError` instead of being
-    quantized.
-    """
-    us = round(seconds * US_PER_SECOND)
-    if strict and us / 1e6 != seconds:
-        raise SubMicrosecondResidueError(
-            f"{seconds!r} s carries sub-microsecond residue "
-            f"(nearest exact value: {us / 1e6!r})"
-        )
-    return us
-
-
-def from_us(us: int) -> float:
-    """Float seconds for integer microseconds (single rounding)."""
-    return us / 1e6
-
-
-def us_to_ticks(us: int) -> int:
-    return us << TICK_BITS
-
-
-def ticks_to_us(ticks: int, strict: bool = False) -> int:
-    """Whole microseconds of a tick count (round half-to-even).
-
-    With ``strict=True``, tick counts carrying fractional-microsecond
-    residue raise :class:`SubMicrosecondResidueError`.
-    """
-    us, frac = divmod(ticks, TICKS_PER_US)
-    if not frac:
-        return us
-    if strict:
-        raise SubMicrosecondResidueError(
-            f"{ticks} ticks is not a whole microsecond "
-            f"({us} us + {frac}/2**{TICK_BITS} us)"
-        )
-    # round half-to-even on the fractional part
-    half = TICKS_PER_US >> 1
-    if frac > half or (frac == half and us & 1):
-        return us + 1
-    return us
 
 
 def is_us_aligned(seconds: float) -> bool:

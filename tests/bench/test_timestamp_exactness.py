@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench import micro
 from repro.bench.micro import MICRO_BENCHMARKS
-from repro.sim.timebase import from_ticks, from_us, to_ticks, to_us
+from repro.sim.timebase import from_ticks, is_us_aligned, to_ticks
 
 #: cases whose simulated work is built purely from whole-microsecond
 #: delays — these must land exactly on the microsecond grid
@@ -31,7 +31,7 @@ def test_condition_wait_full_matrix_is_exactly_20ms():
     case = _CASES["condition_wait"]
     info = case.fn(case.full_n)
     assert info["simulated"] == 0.02
-    assert to_us(info["simulated"], strict=True) == 20_000
+    assert is_us_aligned(info["simulated"])
 
 
 def test_process_wakeups_zero_delay_stays_at_zero():
@@ -60,8 +60,7 @@ def test_micro_simulated_timestamps_are_exact(case):
     sim = info["simulated"]
     assert sim is not None and sim >= 0.0
     if case.name in ALIGNED_CASES:
-        us = to_us(sim, strict=True)
-        assert from_us(us) == sim
+        assert is_us_aligned(sim)
     else:
         rerun = case.fn(case.smoke_n)["simulated"]
         assert rerun == sim

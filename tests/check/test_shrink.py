@@ -5,6 +5,7 @@ from dataclasses import replace
 from repro.check import FuzzConfig, reproducer_source, run_config, shrink
 from repro.check.fuzzer import CheckResult, ScheduleFuzzer
 from repro.check.monitor import Violation
+from repro.core.config import FluidiCLConfig
 from repro.faults import FaultKind, FaultSpec
 
 
@@ -42,12 +43,14 @@ def noisy_config(**overrides):
 class TestShrinking:
     def test_config_independent_failure_reduces_to_defaults(self):
         run = stub_runner(lambda c: c.corruption is not None)
-        shrunk = shrink(noisy_config(), run_fn=run)
+        shrunk = shrink(noisy_config(use_buffer_pool=False,
+                                     online_profiling=True), run_fn=run)
         minimal = shrunk.minimal
         assert shrunk.reduced
         assert minimal.faults == ()
         assert minimal.jitter_seed is None
         assert minimal.gpu_scale == minimal.cpu_scale == 1.0
+        assert minimal.runtime_config() == FluidiCLConfig()
         assert minimal.app == "gesummv"
         assert minimal.size == 64
         assert minimal.corruption == "stale-read"

@@ -98,6 +98,11 @@ class TestSeededSchedules:
         b = FaultSchedule.seeded(seed=8, window=(0.0, 1.0), n=5)
         assert list(a) != list(b)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            FaultSchedule.seeded(seed=3, window=(0.0, 1.0), n=-2)
+        assert list(FaultSchedule.seeded(seed=3, window=(0.0, 1.0), n=0)) == []
+
     def test_times_inside_window(self):
         schedule = FaultSchedule.seeded(seed=3, window=(0.25, 0.75), n=10)
         assert all(0.25 <= s.at <= 0.75 for s in schedule)

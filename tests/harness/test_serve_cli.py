@@ -95,6 +95,12 @@ class TestServeCli:
          "--burst-factor: must be >= 1, got 0"),
         (["--arrival", "burst", "--on-fraction", "2"],
          "--on-fraction: must be > 0 and < 1, got 2"),
+        (["--requests", "20", "--arrival", "closed", "--think", "-1"],
+         "--think: must be >= 0, got -1"),
+        (["--requests", "20", "--faults", "3", "--fault-n", "-2"],
+         "--fault-n: must be >= 1, got -2"),
+        (["--requests", "20", "--max-shed-rate", "-0.1"],
+         "--max-shed-rate: must be >= 0, got -0.1"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, capsys, args, reason):
         """Exit status 2 with the bound, before any run: not a traceback,

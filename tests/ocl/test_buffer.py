@@ -101,13 +101,6 @@ class TestBuffer:
         with pytest.raises(OutOfDeviceMemoryError):
             device.create_buffer((too_big,), np.uint8)
 
-    def test_partial_region_write(self, gpu):
-        buf = gpu.create_buffer((8,), np.float32)
-        data = np.arange(8, dtype=np.float32)
-        buf.write_from(data, region=slice(2, 5))
-        assert np.array_equal(buf.array[2:5], data[2:5])
-        assert np.all(buf.array[:2] == 0)
-
     def test_read_into_non_contiguous_destination(self, gpu):
         buf = gpu.create_buffer((16,), np.float32)
         buf.write_from(np.arange(16, dtype=np.float32))

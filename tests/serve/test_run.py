@@ -23,6 +23,16 @@ class TestConfig:
             ServeConfig(arrival="uniform")
         with pytest.raises(ValueError):
             ServeConfig(utilization=0.0)
+        with pytest.raises(ValueError, match="think_time"):
+            ServeConfig(arrival="closed", think_time=-1.0)
+        with pytest.raises(ValueError, match="fault_n"):
+            ServeConfig(fault_seed=3, fault_n=-2)
+        with pytest.raises(ValueError, match="fault_n"):
+            ServeConfig(fault_seed=3, fault_n=0)
+        # zero think time is valid, and so is fault_n=0 with no faults
+        # armed (what the fuzzer and the shrinker build)
+        ServeConfig(arrival="closed", think_time=0.0)
+        ServeConfig(fault_seed=None, fault_n=0)
 
     def test_explicit_tenants_override_the_default_mix(self):
         spec = (TenantSpec("acme", "bicg", 64),)

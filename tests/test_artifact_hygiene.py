@@ -103,7 +103,7 @@ class TestBenchSnapshotHygiene:
         before = _git("status", "--porcelain")
         existing = {p.name for p in REPO_ROOT.glob("BENCH_*.json")}
         code = bench_main([
-            "--smoke", "--micro-only", "--repeats", "1", "--warmup", "0",
+            "--smoke", "--repeats", "1", "--warmup", "0",
             "--baseline", "none", "--dir", str(REPO_ROOT),
         ])
         created = {
