@@ -12,7 +12,7 @@ Run:  python examples/execution_timeline.py [benchmark]
 import sys
 
 from repro.core import FluidiCLRuntime
-from repro.harness.timeline import extract_spans, render_gantt
+from repro.harness.timeline import render_gantt
 from repro.hw import build_machine
 from repro.polybench import make_app
 
@@ -31,7 +31,7 @@ def main() -> None:
     for record in runtime.records:
         print(f"  {record.summary()}")
 
-    spans = extract_spans(machine.tracer)
+    spans = machine.tracer.command_spans()
     print()
     print(render_gantt(spans))
 

@@ -456,17 +456,15 @@ class KnownBadCase:
     expected_rule: str
     #: builds the broken kernel, or the broken ``(decls, stages)`` pipeline
     factory: Callable[[], Union[KernelSpec, Pipeline]]
-    #: GPU-variant flags a kernel case is analyzed under
+    #: GPU-variant flag a kernel case is analyzed under
     abort_in_loops: bool = True
-    loop_unroll: bool = True
     description: str = ""
 
     def analyze(self) -> LintReport:
         """The analyzer's report on the planted defect."""
         target = self.factory()
         if isinstance(target, KernelSpec):
-            return analyze_kernel(target, abort_in_loops=self.abort_in_loops,
-                                  loop_unroll=self.loop_unroll)
+            return analyze_kernel(target, abort_in_loops=self.abort_in_loops)
         from repro.analysis.pipeline_analyzer import analyze_pipeline
 
         decls, stages = target

@@ -21,7 +21,6 @@ from repro.baselines.starpu.scheduler import (
     DmdaScheduler,
     EagerScheduler,
     RoundRobinScheduler,
-    WorkStealingScheduler,
 )
 from repro.baselines.starpu.socl import SoclRuntime
 from repro.baselines.starpu.tasks import DataHandle, Task
@@ -34,6 +33,5 @@ __all__ = [
     "RoundRobinScheduler",
     "SoclRuntime",
     "Task",
-    "WorkStealingScheduler",
     "calibrate_perfmodel",
 ]

@@ -8,7 +8,7 @@ from typing import List, Optional
 from repro.baselines.starpu.perfmodel import PerfModel
 
 __all__ = ["Scheduler", "EagerScheduler", "DmdaScheduler", "RoundRobinScheduler",
-           "WorkStealingScheduler", "make_scheduler"]
+           "make_scheduler"]
 
 
 class Scheduler:
@@ -105,43 +105,6 @@ class DmdaScheduler(Scheduler):
         return seconds
 
 
-class WorkStealingScheduler(Scheduler):
-    """StarPU's ``ws``: per-worker deques with stealing on idleness.
-
-    Ready tasks are dealt round-robin to per-worker queues; a worker that
-    runs dry steals the oldest task from the most loaded peer.  Like eager
-    it is model-free, but it keeps both workers fed under bursts.
-    """
-
-    name = "ws"
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self._queues = {id(w): deque() for w in workers}
-        self._idle = deque(workers)
-        self._deal_index = 0
-
-    def task_ready(self, task) -> None:
-        if self._idle:
-            self._idle.popleft().inbox.put(task)
-            return
-        worker = self.workers[self._deal_index % len(self.workers)]
-        self._deal_index += 1
-        self._queues[id(worker)].append(task)
-
-    def worker_idle(self, worker) -> None:
-        own = self._queues[id(worker)]
-        if own:
-            worker.inbox.put(own.popleft())
-            return
-        victim = max(self.workers, key=lambda w: len(self._queues[id(w)]))
-        victim_queue = self._queues[id(victim)]
-        if victim_queue:
-            worker.inbox.put(victim_queue.popleft())
-        else:
-            self._idle.append(worker)
-
-
 class RoundRobinScheduler(Scheduler):
     """Alternate workers per codelet occurrence: calibration exploration.
 
@@ -171,8 +134,6 @@ def make_scheduler(name: str, workers, model: Optional[PerfModel] = None,
         return EagerScheduler(workers)
     if name == "dmda":
         return DmdaScheduler(workers, model)
-    if name == "ws":
-        return WorkStealingScheduler(workers)
     if name == "roundrobin":
         return RoundRobinScheduler(workers, offset=offset)
     raise KeyError(f"unknown StarPU scheduler {name!r}")

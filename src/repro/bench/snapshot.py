@@ -205,8 +205,7 @@ class Comparison:
 
 
 def compare_snapshots(current: BenchSnapshot, baseline: BenchSnapshot,
-                      threshold: float, baseline_path: str = "",
-                      check_simulated: bool = True) -> Comparison:
+                      threshold: float, baseline_path: str = "") -> Comparison:
     """Compare matching case ids; flag slowdowns beyond ``threshold``.
 
     ``threshold`` is the tolerated wall slowdown factor: 1.5 means "fail
@@ -226,7 +225,7 @@ def compare_snapshots(current: BenchSnapshot, baseline: BenchSnapshot,
         ratio = (cur.throughput / base.throughput
                  if base.throughput > 0 else float("inf"))
         drift = False
-        if (check_simulated and base.simulated_seconds is not None
+        if (base.simulated_seconds is not None
                 and cur.simulated_seconds is not None):
             if is_us_aligned(base.simulated_seconds):
                 # the baseline is an exact microsecond instant, which the

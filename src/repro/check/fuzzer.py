@@ -2,8 +2,10 @@
 
 A :class:`ScheduleFuzzer` deterministically expands an integer seed into a
 :class:`FuzzConfig` — a frozen, self-describing draw over the schedule
-space: device-speed ratios, chunker parameters, optimization toggles,
-same-instant queue interleaving jitter and a fault schedule.
+space: device-speed ratios, the runtime's
+:class:`~repro.core.config.FluidiCLConfig` (chunker parameters and
+optimization toggles), same-instant queue interleaving jitter and a fault
+schedule.
 :func:`run_config` executes one such configuration end to end on a fresh
 simulated machine with a :class:`~repro.check.monitor.CoherenceMonitor`
 attached and the NumPy oracle checking the result.
@@ -61,21 +63,16 @@ class FuzzConfig:
     size: int = 256
     gpu_scale: float = 1.0
     cpu_scale: float = 1.0
-    initial_chunk_fraction: float = 0.10
-    chunk_step_fraction: float = 0.10
-    abort_in_loops: bool = True
-    loop_unroll: bool = True
-    cpu_wg_split: bool = True
-    use_buffer_pool: bool = True
-    location_tracking: bool = True
-    online_profiling: bool = False
+    #: the runtime knobs the seed runs under: chunk sizes (§5.1) and the
+    #: §6 optimization toggles
+    runtime: FluidiCLConfig = FluidiCLConfig()
     jitter_seed: Optional[int] = None
     faults: Tuple[FaultSpec, ...] = ()
     corruption: Optional[str] = None
     #: machine preset name (:data:`repro.hw.machine.MACHINE_PRESETS`);
     #: ``"default"`` is the paper's CPU+GPU pair, other presets exercise
     #: N-device sets.  GPU-kind devices scale by ``gpu_scale``, CPU-kind
-    #: by ``cpu_scale``.
+    #: by ``cpu_scale``.  A serve draw keeps its machine in ``serve``.
     machine: str = "default"
     #: serving-layer axis: when set, the seed checks a multi-tenant load
     #: test (:mod:`repro.serve`) instead of a single cooperative run — the
@@ -100,8 +97,8 @@ class FuzzConfig:
             return " ".join(bits)
         bits = [f"seed={self.seed}", f"{self.app}@{self.size}",
                 f"gpu×{self.gpu_scale:.2f}", f"cpu×{self.cpu_scale:.2f}",
-                f"chunk={self.initial_chunk_fraction:.2f}"
-                f"+{self.chunk_step_fraction:.2f}"]
+                f"chunk={self.runtime.initial_chunk_fraction:.2f}"
+                f"+{self.runtime.chunk_step_fraction:.2f}"]
         if self.machine != "default":
             bits.append(f"machine={self.machine}")
         if self.jitter_seed is not None:
@@ -111,18 +108,6 @@ class FuzzConfig:
         if self.corruption:
             bits.append(f"corruption={self.corruption}")
         return " ".join(bits)
-
-    def runtime_config(self) -> FluidiCLConfig:
-        return FluidiCLConfig(
-            initial_chunk_fraction=self.initial_chunk_fraction,
-            chunk_step_fraction=self.chunk_step_fraction,
-            abort_in_loops=self.abort_in_loops,
-            loop_unroll=self.loop_unroll,
-            cpu_wg_split=self.cpu_wg_split,
-            use_buffer_pool=self.use_buffer_pool,
-            location_tracking=self.location_tracking,
-            online_profiling=self.online_profiling,
-        )
 
 
 @dataclass
@@ -212,14 +197,16 @@ class ScheduleFuzzer:
             size=size,
             gpu_scale=round(2 ** rng.uniform(-2, 2), 4),
             cpu_scale=round(2 ** rng.uniform(-2, 2), 4),
-            initial_chunk_fraction=round(rng.uniform(0.02, 0.5), 4),
-            chunk_step_fraction=round(rng.uniform(0.0, 0.4), 4),
-            abort_in_loops=rng.random() < 0.9,
-            loop_unroll=rng.random() < 0.9,
-            cpu_wg_split=rng.random() < 0.9,
-            use_buffer_pool=rng.random() < 0.9,
-            location_tracking=rng.random() < 0.9,
-            online_profiling=rng.random() < 0.1,
+            runtime=FluidiCLConfig(
+                initial_chunk_fraction=round(rng.uniform(0.02, 0.5), 4),
+                chunk_step_fraction=round(rng.uniform(0.0, 0.4), 4),
+                abort_in_loops=rng.random() < 0.9,
+                loop_unroll=rng.random() < 0.9,
+                cpu_wg_split=rng.random() < 0.9,
+                use_buffer_pool=rng.random() < 0.9,
+                location_tracking=rng.random() < 0.9,
+                online_profiling=rng.random() < 0.1,
+            ),
             jitter_seed=jitter_seed,
             faults=faults,
             machine=machine,
@@ -260,7 +247,7 @@ class ScheduleFuzzer:
             fault_n=fault_n,
             jitter_seed=jitter_seed,
         )
-        return FuzzConfig(seed=seed, serve=serve, machine=machine)
+        return FuzzConfig(seed=seed, serve=serve)
 
     def configs(self, n: int, start: int = 0) -> List[FuzzConfig]:
         return [self.config(seed) for seed in range(start, start + n)]
@@ -317,8 +304,8 @@ def preflight_lint(app, config: FuzzConfig) -> List[LintReport]:
     :meth:`~repro.polybench.common.PolybenchApp.kernel_specs` contribute
     no kernel reports: the fuzzer cannot judge what it cannot see.
     """
-    reports = analyze_app(app, abort_in_loops=config.abort_in_loops,
-                          loop_unroll=config.loop_unroll)
+    reports = analyze_app(app, abort_in_loops=config.runtime.abort_in_loops,
+                          loop_unroll=config.runtime.loop_unroll)
     return [r for r in reports if not r.fluidic_safe]
 
 
@@ -409,7 +396,7 @@ def run_config(config: FuzzConfig, rtol: float = DEFAULT_RTOL,
     ]
     machine = build_machine(devices=devices, trace=True,
                             interleave_seed=config.jitter_seed)
-    runtime = FluidiCLRuntime(machine, config=config.runtime_config())
+    runtime = FluidiCLRuntime(machine, config=config.runtime)
     monitor = CoherenceMonitor().attach(machine.tracer)
     if config.corruption:
         machine.tracer.add_listener(_Corruptor(monitor, config.corruption))

@@ -4,18 +4,21 @@ When a seed fails — an invariant violation, a wrong result, or a crash —
 the raw :class:`~repro.check.fuzzer.FuzzConfig` is usually noisy: faults
 that don't matter, jitter that doesn't matter, an app bigger than needed.
 :func:`shrink` walks a fixed candidate order (drop faults one by one,
-disable jitter, normalize device speeds, restore default chunking and
-optimization toggles, swap to the single-kernel ``gesummv``, halve the
-problem size) and greedily accepts any simplification that still fails,
+disable jitter, normalize device speeds, reset the runtime record to
+``FluidiCLConfig()`` — the chunker pair together, then each other field
+that differs — swap to the single-kernel ``gesummv``, halve the problem
+size) and greedily accepts any simplification that still fails,
 restarting until a fixed point: a *minimal reproducer*.
 
 :func:`reproducer_source` renders that minimal config as a ready-to-paste
-pytest case.
+pytest case; every record it holds renders as its constructor call with
+only the fields that differ from their defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from typing import Callable, Iterator, List, Optional
 
 from repro.check.fuzzer import CheckResult, FuzzConfig, run_config
@@ -29,11 +32,9 @@ _MIN_SIZE = 64
 #: the single-kernel benchmark every app-independent failure reduces to
 _SIMPLEST_APP = "gesummv"
 
-#: the runtime knobs a FuzzConfig carries, reset to ``FluidiCLConfig()``'s
-#: values: the chunker pair in one step, then each toggle on its own
+#: the runtime knobs reset together to ``FluidiCLConfig()``'s values; every
+#: other field of a config's runtime record is reset on its own
 _CHUNKER = ("initial_chunk_fraction", "chunk_step_fraction")
-_TOGGLES = ("abort_in_loops", "loop_unroll", "cpu_wg_split",
-            "use_buffer_pool", "location_tracking", "online_profiling")
 
 
 @dataclass
@@ -66,8 +67,7 @@ def _serve_candidates(config: FuzzConfig) -> Iterator[tuple]:
                replace(config, serve=replace(serve, jitter_seed=None)))
     if serve.machine != "default":
         yield (f"swap serve machine {serve.machine} -> default",
-               replace(config, serve=replace(serve, machine="default"),
-                       machine="default"))
+               replace(config, serve=replace(serve, machine="default")))
     if serve.arrival != "poisson":
         yield (f"swap arrival {serve.arrival} -> poisson",
                replace(config, serve=replace(serve, arrival="poisson")))
@@ -101,15 +101,17 @@ def _candidates(config: FuzzConfig) -> Iterator[tuple]:
         yield "reset gpu_scale to 1.0", replace(config, gpu_scale=1.0)
     if config.cpu_scale != 1.0:
         yield "reset cpu_scale to 1.0", replace(config, cpu_scale=1.0)
-    defaults = FluidiCLConfig()
+    runtime, defaults = config.runtime, FluidiCLConfig()
     chunker = {name: getattr(defaults, name) for name in _CHUNKER}
-    if any(getattr(config, name) != value for name, value in chunker.items()):
-        yield "reset chunker to defaults", replace(config, **chunker)
-    for name in _TOGGLES:
-        default = getattr(defaults, name)
-        if getattr(config, name) != default:
-            yield (f"reset {name} to {default}",
-                   replace(config, **{name: default}))
+    if any(getattr(runtime, name) != value for name, value in chunker.items()):
+        yield ("reset chunker to defaults",
+               replace(config, runtime=replace(runtime, **chunker)))
+    for f in fields(FluidiCLConfig):
+        default = getattr(defaults, f.name)
+        if f.name not in _CHUNKER and getattr(runtime, f.name) != default:
+            yield (f"reset {f.name} to {default}",
+                   replace(config, runtime=replace(runtime,
+                                                   **{f.name: default})))
     if config.app != _SIMPLEST_APP:
         yield (f"swap app {config.app} -> {_SIMPLEST_APP}",
                replace(config, app=_SIMPLEST_APP))
@@ -151,47 +153,34 @@ def shrink(config: FuzzConfig,
                         result=current_result, runs=runs, steps=steps)
 
 
+def _explicit_fields(record) -> Iterator[tuple]:
+    """``(name, value)`` of each field of a dataclass record that has no
+    default or differs from it."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.default is MISSING or value != f.default:
+            yield f.name, value
+
+
 def _format_value(value) -> str:
-    """An eval-able literal for a FuzzConfig field value."""
-    from repro.serve.run import ServeConfig
-
+    """An eval-able literal for a FuzzConfig field value: a record renders
+    as its constructor call, defaults omitted, and an enum member by name."""
     if isinstance(value, tuple):  # the fault schedule
-        inner = ", ".join(_format_fault(f) for f in value)
+        inner = ", ".join(_format_value(v) for v in value)
         return f"({inner},)" if value else "()"
-    if isinstance(value, ServeConfig):
-        default = ServeConfig(seed=value.seed)
-        parts = [f"seed={value.seed!r}"]
-        for f in fields(ServeConfig):
-            field_value = getattr(value, f.name)
-            if f.name != "seed" and field_value != getattr(default, f.name):
-                parts.append(f"{f.name}={field_value!r}")
-        return f"ServeConfig({', '.join(parts)})"
+    if isinstance(value, Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if is_dataclass(value):
+        parts = ", ".join(f"{name}={_format_value(v)}"
+                          for name, v in _explicit_fields(value))
+        return f"{type(value).__name__}({parts})"
     return repr(value)
-
-
-def _format_fault(fault) -> str:
-    parts = [f"FaultKind.{fault.kind.name}", f"at={fault.at!r}",
-             f"device={fault.device!r}"]
-    if fault.kind.name == "DEVICE_STALL":
-        parts.append(f"duration={fault.duration!r}")
-    elif fault.kind.name == "TRANSFER_FAULT":
-        parts.append(f"direction={fault.direction!r}")
-        parts.append(f"count={fault.count!r}")
-    elif fault.kind.name == "LINK_DEGRADE":
-        parts.append(f"factor={fault.factor!r}")
-    return f"FaultSpec({', '.join(parts)})"
 
 
 def format_config(config: FuzzConfig, indent: str = "        ") -> str:
     """Render a config as an eval-able constructor call, defaults omitted."""
-    default = FuzzConfig(seed=config.seed)
-    lines = []
-    for f in fields(FuzzConfig):
-        value = getattr(config, f.name)
-        if f.name != "seed" and value == getattr(default, f.name):
-            continue
-        lines.append(f"{indent}{f.name}={_format_value(value)},")
-    body = "\n".join(lines)
+    body = "\n".join(f"{indent}{name}={_format_value(value)},"
+                     for name, value in _explicit_fields(config))
     return f"FuzzConfig(\n{body}\n{indent[:-4]})"
 
 
@@ -200,6 +189,8 @@ def reproducer_source(shrunk: ShrinkResult) -> str:
     config = shrunk.minimal
     needs_faults = bool(config.faults)
     imports = ["from repro.check import FuzzConfig, run_config"]
+    if config.runtime != FluidiCLConfig():
+        imports.append("from repro.core import FluidiCLConfig")
     if needs_faults:
         imports.append("from repro.faults import FaultKind, FaultSpec")
     if config.serve is not None:

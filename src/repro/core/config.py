@@ -55,18 +55,3 @@ class FluidiCLConfig:
             raise ValueError(
                 f"lint must be 'off', 'warn' or 'strict', got {self.lint!r}"
             )
-
-    @classmethod
-    def all_optimizations(cls) -> "FluidiCLConfig":
-        """The paper's Fig. 15 ``AllOpt`` configuration."""
-        return cls()
-
-    @classmethod
-    def no_abort_in_loops(cls) -> "FluidiCLConfig":
-        """Fig. 15 ``NoAbortUnroll``: abort checks only at work-group start."""
-        return cls(abort_in_loops=False)
-
-    @classmethod
-    def no_unroll(cls) -> "FluidiCLConfig":
-        """Fig. 15 ``NoUnroll``: inner abort checks but no unrolling fix-up."""
-        return cls(loop_unroll=False)

@@ -30,7 +30,7 @@ from repro.harness.extensions import (
 )
 from repro.harness.report import ExperimentResult, format_table, geomean
 from repro.harness.runner import fluidicl_time, measure_app, socl_time
-from repro.harness.timeline import extract_spans, render_gantt
+from repro.harness.timeline import render_gantt
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -39,7 +39,6 @@ __all__ = [
     "ablation_location_tracking",
     "ablation_wg_split",
     "extended_overall",
-    "extract_spans",
     "render_gantt",
     "what_if_xeon_phi",
     "fig13_overall",

@@ -31,6 +31,7 @@ from repro.bench.snapshot import (
     load_snapshot,
     next_snapshot_path,
 )
+from repro.harness.check_cli import bounded
 from repro.harness.report import format_table
 
 __all__ = ["bench_main", "run_bench", "render_results", "render_comparison"]
@@ -102,11 +103,11 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         help="small iteration counts (ids get a .smoke suffix)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3,
+        "--repeats", type=bounded(int, 1), default=3,
         help="timed repeats per case; the best run is reported (default: 3)",
     )
     parser.add_argument(
-        "--warmup", type=int, default=1,
+        "--warmup", type=bounded(int, 0), default=1,
         help="untimed warmup runs per case (default: 1)",
     )
     parser.add_argument(
@@ -129,15 +130,12 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD,
+        "--threshold", type=bounded(float, 1.0, exclusive=True),
+        default=DEFAULT_THRESHOLD,
         help=(
             "tolerated wall slowdown factor vs the baseline before the "
             f"run fails (default: {DEFAULT_THRESHOLD})"
         ),
-    )
-    parser.add_argument(
-        "--no-simulated-check", action="store_true",
-        help="do not fail when simulated seconds drift vs the baseline",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -148,8 +146,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         help="free-form note recorded in the snapshot (repeatable)",
     )
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
     began = time.perf_counter()
     snapshot = run_bench(smoke=args.smoke, repeats=args.repeats,
@@ -172,7 +168,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         comparison = compare_snapshots(
             snapshot, baseline, threshold=args.threshold,
             baseline_path=baseline_path,
-            check_simulated=not args.no_simulated_check,
         )
 
     out_path = None

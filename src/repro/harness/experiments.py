@@ -220,9 +220,9 @@ def fig15_optimizations(scale: str = "paper") -> ExperimentResult:
     optimization was helping.
     """
     configs = {
-        "no_abort_unroll": FluidiCLConfig.no_abort_in_loops(),
-        "no_unroll": FluidiCLConfig.no_unroll(),
-        "all_opt": FluidiCLConfig.all_optimizations(),
+        "no_abort_unroll": FluidiCLConfig(abort_in_loops=False),
+        "no_unroll": FluidiCLConfig(loop_unroll=False),
+        "all_opt": FluidiCLConfig(),
     }
     result = ExperimentResult(
         "fig15", "Effect of in-loop aborts and loop unrolling",

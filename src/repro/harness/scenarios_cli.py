@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.check.fuzzer import CheckResult, FuzzConfig, run_config
+from repro.core.config import FluidiCLConfig
 from repro.faults.schedule import FaultKind, FaultSpec
 
 __all__ = ["Scenario", "SCENARIOS", "scenarios_main"]
@@ -53,7 +54,8 @@ def _scenario_list() -> List[Scenario]:
             ),
             config=FuzzConfig(
                 seed=9001, app="spmv", size=256,
-                initial_chunk_fraction=0.02, chunk_step_fraction=0.10,
+                runtime=FluidiCLConfig(initial_chunk_fraction=0.02,
+                                       chunk_step_fraction=0.10),
             ),
         ),
         Scenario(
@@ -78,7 +80,8 @@ def _scenario_list() -> List[Scenario]:
             ),
             config=FuzzConfig(
                 seed=9003, app="histogram", size=256, machine="big.little",
-                initial_chunk_fraction=0.5, chunk_step_fraction=0.4,
+                runtime=FluidiCLConfig(initial_chunk_fraction=0.5,
+                                       chunk_step_fraction=0.4),
             ),
         ),
         Scenario(

@@ -1,37 +1,21 @@
-"""Execution-timeline extraction and ASCII Gantt rendering.
+"""ASCII Gantt rendering of an execution timeline.
 
-Built from the event recorder, this answers "what actually overlapped?"
-— the question behind the paper's §5.5 (computation/communication overlap).
-Tests use it to assert overlap properties; humans use it to eyeball a
-FluidiCL schedule:
+Built from the event recorder's command spans, this answers "what
+actually overlapped?" — the question behind the paper's §5.5
+(computation/communication overlap).  Tests use the spans to assert
+overlap properties; humans use the chart to eyeball a FluidiCL schedule:
 
     run = measure_app(app, trace=True)   # repro.harness.runner
-    print(render_gantt(extract_spans(run.machine.tracer)))
+    print(render_gantt(run.machine.tracer.command_spans()))
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.events import EventSpan
-from repro.obs.recorder import EventRecorder
 
-__all__ = ["extract_spans", "render_gantt"]
-
-
-def extract_spans(recorder: EventRecorder,
-                  kinds: Optional[List[str]] = None) -> List[EventSpan]:
-    """Queue-command execution spans, one per executed command.
-
-    They come from the recorder's typed event stream — the same stream the
-    Chrome-trace export reads, so the ASCII Gantt and the JSON timeline
-    cannot disagree.  ``kinds`` filters on the command type
-    (``attrs["type"]``, e.g. ``"ndrange_kernel"``).
-    """
-    spans = recorder.command_spans()
-    if kinds is not None:
-        spans = [s for s in spans if s.attrs.get("type") in kinds]
-    return spans
+__all__ = ["render_gantt"]
 
 
 def render_gantt(spans: List[EventSpan], width: int = 72) -> str:

@@ -19,7 +19,7 @@ from repro.core.runtime import FluidiCLRuntime
 from repro.faults import FaultKind, FaultSchedule
 from repro.harness.check_cli import bounded
 from repro.harness.runner import first_kernel_strike_time, measure_app
-from repro.harness.timeline import extract_spans, render_gantt
+from repro.harness.timeline import render_gantt
 from repro.hw.machine import MACHINE_PRESETS
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.events import EventKind
@@ -155,7 +155,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     for record in runtime.records:
         print(f"  {record.summary()}")
     if not args.no_gantt:
-        print(render_gantt(extract_spans(recorder)))
+        print(render_gantt(recorder.command_spans()))
     blocked = {}
     for span in recorder.event_spans(EventKind.POOL):
         blocked[span.track] = blocked.get(span.track, 0.0) + span.duration

@@ -8,7 +8,7 @@ Xeon W3550, connected by PCIe 2.0.
 """
 
 from repro.hw.cost import WorkGroupCost, wave_duration, wg_time
-from repro.hw.interconnect import InterconnectSpec, transfer_time
+from repro.hw.interconnect import InterconnectSpec
 from repro.hw.machine import Machine, build_machine
 from repro.hw.memory import DeviceMemory, OutOfDeviceMemoryError
 from repro.hw.specs import (
@@ -35,7 +35,6 @@ __all__ = [
     "WorkGroupCost",
     "XEON_W3550",
     "build_machine",
-    "transfer_time",
     "wave_duration",
     "wg_time",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["InterconnectSpec", "transfer_time"]
+__all__ = ["InterconnectSpec"]
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,3 @@ class InterconnectSpec:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         return self.latency + nbytes / self.bandwidth
-
-
-def transfer_time(spec: InterconnectSpec, nbytes: float) -> float:
-    """Functional alias for :meth:`InterconnectSpec.transfer_time`."""
-    return spec.transfer_time(nbytes)

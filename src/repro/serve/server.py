@@ -112,10 +112,6 @@ class Server:
         )
 
     # -- queue introspection ------------------------------------------------
-    def queue_depth(self, tenant: str) -> int:
-        queue = self._queues.get(tenant)
-        return len(queue) if queue else 0
-
     @property
     def inflight(self) -> int:
         return self._inflight

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import Severity, analyze_kernel
-from repro.analysis.analyzer import LONG_LOOP_ITERS
+from repro.analysis import Severity
+from repro.analysis.analyzer import LONG_LOOP_ITERS, analyze_kernel
 from repro.hw.cost import WorkGroupCost
 from repro.kernels.dsl import Intent, KernelSpec, buffer_arg, scalar_arg
 

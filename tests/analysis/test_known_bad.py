@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.analysis import analyze_app, analyze_kernel
+from repro.analysis.analyzer import analyze_app, analyze_kernel
 from repro.analysis.known_bad import KNOWN_BAD_CASES
 from repro.polybench.suite import EXTENDED_SUITE, make_app
 

@@ -12,7 +12,7 @@ sanitizer is built on.
 
 import numpy as np
 
-from repro.analysis import (
+from repro.analysis.pipeline_analyzer import (
     HOST_PRODUCER,
     analyze_pipeline,
     predicted_writers,

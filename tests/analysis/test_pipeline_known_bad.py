@@ -9,7 +9,7 @@ fixtures double as a stray-findings regression net.
 
 import pytest
 
-from repro.analysis import KNOWN_BAD_CASES
+from repro.analysis.known_bad import KNOWN_BAD_CASES
 from repro.kernels.dsl import KernelSpec
 from repro.workloads.pipeline import validate_pipeline
 

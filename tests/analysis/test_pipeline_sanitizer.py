@@ -16,7 +16,7 @@ violation raises mid-run.
 import numpy as np
 import pytest
 
-from repro.analysis import HOST_PRODUCER
+from repro.analysis.pipeline_analyzer import HOST_PRODUCER
 from repro.analysis.pipeline_sanitizer import (
     PipelineSanitizer,
     PipelineSanitizerError,

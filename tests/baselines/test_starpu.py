@@ -208,49 +208,3 @@ class TestScheduling:
         runtime.finish()
         tasks = runtime.tasks
         assert tasks[1].transfer_bytes > 0  # y had to move between devices
-
-
-class TestWorkStealing:
-    def test_ws_correct_on_apps(self):
-        for name in ("bicg", "syrk"):
-            app = make_app(name, "test")
-            machine = build_machine()
-            runtime = SoclRuntime(machine, "ws")
-            result = app.execute(runtime)
-            assert result.correct, name
-
-    def test_ws_spreads_independent_tasks(self, machine):
-        runtime = SoclRuntime(machine, "ws")
-        n = 512
-        buffers = {
-            name: runtime.create_buffer(name, (n,), np.float32)
-            for name in ("x1", "y1", "x2", "y2")
-        }
-        data = np.ones(n, dtype=np.float32)
-        runtime.enqueue_write_buffer(buffers["x1"], data)
-        runtime.enqueue_write_buffer(buffers["x2"], data)
-        for i, (x, y) in enumerate((("x1", "y1"), ("x2", "y2"))):
-            spec = make_scale_kernel(n, name=f"k{i}")
-            runtime.enqueue_nd_range_kernel(
-                spec, NDRange(n, 16),
-                {"x": buffers[x], "y": buffers[y], "alpha": 2.0},
-            )
-        runtime.finish()
-        assert all(w.tasks_executed == 1 for w in runtime.workers)
-
-    def test_ws_steals_queued_work(self, machine):
-        """Four independent tasks, two workers: stealing keeps both busy."""
-        runtime = SoclRuntime(machine, "ws")
-        n = 512
-        for i in range(4):
-            x = runtime.create_buffer(f"x{i}", (n,), np.float32)
-            y = runtime.create_buffer(f"y{i}", (n,), np.float32)
-            runtime.enqueue_write_buffer(x, np.ones(n, dtype=np.float32))
-            runtime.enqueue_nd_range_kernel(
-                make_scale_kernel(n, name=f"k{i}"), NDRange(n, 16),
-                {"x": x, "y": y, "alpha": 1.0},
-            )
-        runtime.finish()
-        executed = [w.tasks_executed for w in runtime.workers]
-        assert sum(executed) == 4
-        assert min(executed) >= 1

@@ -157,14 +157,6 @@ class TestComparisonGate:
         )
         assert cmp_.ok
 
-    def test_simulated_check_can_be_disabled(self):
-        cmp_ = compare_snapshots(
-            snapshot(result(simulated=2.0)),
-            snapshot(result(simulated=1.0)),
-            threshold=1.5, check_simulated=False,
-        )
-        assert cmp_.ok
-
     def test_unmatched_cases_are_informational(self):
         cmp_ = compare_snapshots(
             snapshot(result("micro.new")),
@@ -221,3 +213,22 @@ class TestBenchCli:
             "--baseline", str(baseline_path), "--threshold", "1.01",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("args,reason", [
+        (["--repeats", "0"], "--repeats: must be >= 1, got 0"),
+        (["--warmup", "-1"], "--warmup: must be >= 0, got -1"),
+        (["--threshold", "1.0"], "--threshold: must be > 1.0, got 1.0"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, capsys, tmp_path,
+                                                 args, reason):
+        """Exit status 2 with the bound, before any case runs: not a
+        traceback after the run, and not the regression status 1."""
+        from repro.harness.bench_cli import bench_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["--smoke", "--no-persist", "--dir", str(tmp_path)]
+                       + args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "== bench:" not in captured.out

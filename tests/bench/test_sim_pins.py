@@ -31,7 +31,7 @@ MACHINES = {
 #: the Fig. 15 ablation toggle and the §6.1 pool toggle
 CONFIGS = {
     "default": FluidiCLConfig(),
-    "no_abort": FluidiCLConfig.no_abort_in_loops(),
+    "no_abort": FluidiCLConfig(abort_in_loops=False),
     "no_pool": FluidiCLConfig(use_buffer_pool=False),
 }
 

@@ -8,7 +8,82 @@ from repro.check import (
     ScheduleFuzzer,
     run_config,
 )
+from repro.core.config import FluidiCLConfig
+from repro.faults import FaultKind, FaultSpec
 from repro.polybench.suite import EXTENDED_SUITE
+from repro.serve.run import ServeConfig
+
+#: the records seeds 0-5 draw on the default axis (the seeds the
+#: ``micro.fuzzer_seeds`` bench case replays); historical seeds must
+#: keep drawing exactly these
+PINNED_DRAWS = [
+    FuzzConfig(
+        seed=0, app="2mm", size=64, gpu_scale=0.592, cpu_scale=0.6522,
+        runtime=FluidiCLConfig(initial_chunk_fraction=0.274,
+                               chunk_step_fraction=0.0044),
+        jitter_seed=1727629074,
+        faults=(FaultSpec(kind=FaultKind.DEVICE_STALL,
+                          at=1.8072665337101503e-05, device="cpu",
+                          duration=0.0007150681459193959),),
+    ),
+    FuzzConfig(
+        seed=1, app="bicg", gpu_scale=2.047, cpu_scale=1.0088,
+        runtime=FluidiCLConfig(initial_chunk_fraction=0.4767,
+                               chunk_step_fraction=0.298),
+        jitter_seed=1752119894,
+        faults=(FaultSpec(kind=FaultKind.DEVICE_LOSS,
+                          at=0.0015828398002265365, device="cpu"),),
+    ),
+    FuzzConfig(
+        seed=2, app="corr", size=128, gpu_scale=0.4022, cpu_scale=1.365,
+        runtime=FluidiCLConfig(initial_chunk_fraction=0.1536,
+                               chunk_step_fraction=0.1485),
+        jitter_seed=505155503,
+        faults=(FaultSpec(kind=FaultKind.DEVICE_LOSS,
+                          at=0.0007812835831348774),),
+    ),
+    FuzzConfig(
+        seed=3, size=128, gpu_scale=2.199, cpu_scale=0.8209,
+        runtime=FluidiCLConfig(initial_chunk_fraction=0.4723,
+                               chunk_step_fraction=0.1314),
+        jitter_seed=1969432464,
+    ),
+    FuzzConfig(
+        seed=4, app="syrk", size=128, gpu_scale=2.7487, cpu_scale=0.2515,
+        runtime=FluidiCLConfig(initial_chunk_fraction=0.4028,
+                               chunk_step_fraction=0.1378,
+                               abort_in_loops=False, use_buffer_pool=False),
+        jitter_seed=1594811843,
+        faults=(FaultSpec(kind=FaultKind.DEVICE_LOSS,
+                          at=0.0010794200672917852),
+                FaultSpec(kind=FaultKind.DEVICE_STALL,
+                          at=0.0011093934325886745, device="cpu",
+                          duration=0.00021803790854176664)),
+    ),
+    FuzzConfig(
+        seed=5, app="syr2k", size=64, gpu_scale=1.386, cpu_scale=0.4352,
+        runtime=FluidiCLConfig(initial_chunk_fraction=0.4509,
+                               chunk_step_fraction=0.0986,
+                               abort_in_loops=False, use_buffer_pool=False),
+        jitter_seed=814470337,
+    ),
+]
+
+#: the records seeds 0-2 draw on the serve axis
+PINNED_SERVE_DRAWS = [
+    FuzzConfig(seed=0, serve=ServeConfig(
+        requests=185, utilization=0.695, burst_factor=5.68,
+        on_fraction=0.192, clients=3, n_tenants=4, max_queue_depth=2,
+        fault_seed=1558620590, jitter_seed=156644008)),
+    FuzzConfig(seed=1, serve=ServeConfig(
+        seed=1, requests=183, arrival="burst", utilization=1.123,
+        burst_factor=6.95, on_fraction=0.349, clients=12, n_tenants=1,
+        max_inflight=2, fault_n=0, jitter_seed=1246099226)),
+    FuzzConfig(seed=2, serve=ServeConfig(
+        seed=2, requests=202, arrival="closed", utilization=1.121,
+        burst_factor=7.64, on_fraction=0.145, clients=4, n_tenants=1,
+        max_queue_depth=2, max_inflight=1, fault_n=0)),
+]
 
 
 class TestDeterminism:
@@ -36,6 +111,22 @@ class TestDeterminism:
         assert jittered, "no seed drew jitter in 16 tries"
         config = fuzzer.config(jittered[0])
         assert run_config(config).elapsed == run_config(config).elapsed
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("seed", range(len(PINNED_DRAWS)))
+    def test_default_axis_draw_is_pinned(self, seed):
+        assert ScheduleFuzzer().config(seed) == PINNED_DRAWS[seed]
+
+    @pytest.mark.parametrize("seed", range(len(PINNED_SERVE_DRAWS)))
+    def test_serve_axis_draw_is_pinned(self, seed):
+        assert ScheduleFuzzer(serve=True).config(seed) \
+            == PINNED_SERVE_DRAWS[seed]
+
+    def test_describe_is_pinned(self):
+        assert ScheduleFuzzer().config(4).describe() == (
+            "seed=4 syrk@128 gpu×2.75 cpu×0.25 chunk=0.40+0.14 "
+            "jitter=1594811843 faults=2")
 
 
 class TestDraws:

@@ -3,6 +3,7 @@
 from repro.analysis.known_bad import cross_group_write_kernel
 from repro.check import fuzzer as fuzzer_mod
 from repro.check.fuzzer import FuzzConfig, preflight_lint, run_config
+from repro.core.config import FluidiCLConfig
 from repro.polybench.common import PolybenchApp
 from repro.polybench.suite import make_app
 
@@ -48,7 +49,8 @@ class TestPreflightLint:
         # even an abort-less draw stays schedulable (preflight only rejects
         # on errors)
         app = make_app("gesummv", scale="test", size=64)
-        config = FuzzConfig(seed=0, abort_in_loops=False, loop_unroll=False)
+        config = FuzzConfig(seed=0, runtime=FluidiCLConfig(
+            abort_in_loops=False, loop_unroll=False))
         assert preflight_lint(app, config) == []
 
 

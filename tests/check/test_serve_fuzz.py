@@ -31,8 +31,7 @@ def noisy_serve_config(**overrides):
         seed=3, requests=160, arrival="burst", machine="cpu+2gpu",
         n_tenants=3, max_inflight=4, fault_seed=5, jitter_seed=77,
     )
-    return FuzzConfig(seed=3, machine="cpu+2gpu",
-                      serve=replace(serve, **overrides))
+    return FuzzConfig(seed=3, serve=replace(serve, **overrides))
 
 
 class TestServeAxis:

@@ -1,5 +1,6 @@
 """Tests for the greedy shrinker and the pytest reproducer emitter."""
 
+import ast
 from dataclasses import replace
 
 from repro.check import FuzzConfig, reproducer_source, run_config, shrink
@@ -7,6 +8,7 @@ from repro.check.fuzzer import CheckResult, ScheduleFuzzer
 from repro.check.monitor import Violation
 from repro.core.config import FluidiCLConfig
 from repro.faults import FaultKind, FaultSpec
+from repro.serve.run import ServeConfig
 
 
 def stub_runner(predicate):
@@ -31,8 +33,9 @@ def stub_runner(predicate):
 def noisy_config(**overrides):
     base = FuzzConfig(
         seed=9, app="3mm", size=128, gpu_scale=0.5, cpu_scale=2.0,
-        initial_chunk_fraction=0.3, chunk_step_fraction=0.25,
-        loop_unroll=False, jitter_seed=1234,
+        runtime=FluidiCLConfig(initial_chunk_fraction=0.3,
+                               chunk_step_fraction=0.25, loop_unroll=False),
+        jitter_seed=1234,
         faults=(FaultSpec(FaultKind.DEVICE_STALL, at=1e-4, duration=1e-4),
                 FaultSpec(FaultKind.LINK_DEGRADE, at=2e-4, factor=0.5)),
         corruption="stale-read",
@@ -43,14 +46,15 @@ def noisy_config(**overrides):
 class TestShrinking:
     def test_config_independent_failure_reduces_to_defaults(self):
         run = stub_runner(lambda c: c.corruption is not None)
-        shrunk = shrink(noisy_config(use_buffer_pool=False,
-                                     online_profiling=True), run_fn=run)
+        runtime = replace(noisy_config().runtime, use_buffer_pool=False,
+                          online_profiling=True)
+        shrunk = shrink(noisy_config(runtime=runtime), run_fn=run)
         minimal = shrunk.minimal
         assert shrunk.reduced
         assert minimal.faults == ()
         assert minimal.jitter_seed is None
         assert minimal.gpu_scale == minimal.cpu_scale == 1.0
-        assert minimal.runtime_config() == FluidiCLConfig()
+        assert minimal.runtime == FluidiCLConfig()
         assert minimal.app == "gesummv"
         assert minimal.size == 64
         assert minimal.corruption == "stale-read"
@@ -99,22 +103,34 @@ class TestReproducerEmission:
         compile(source, "<reproducer>", "exec")
 
     def test_source_reconstructs_the_minimal_config(self):
-        shrunk = self.shrunk()
-        source = reproducer_source(shrunk)
-        namespace = {}
-        exec(compile(source, "<reproducer>", "exec"), namespace)
-        test_fns = [v for k, v in namespace.items() if k.startswith("test_")]
-        assert len(test_fns) == 1
-        # rebuild the config exactly as the emitted test would
-        from repro.check import FuzzConfig as FC
-        import re
-        match = re.search(r"config = (FuzzConfig\((?:[^()]|\([^)]*\))*\))",
-                          source, re.S)
-        assert match, source
-        rebuilt = eval(match.group(1), {
-            "FuzzConfig": FC, "FaultKind": FaultKind, "FaultSpec": FaultSpec,
-        })
-        assert rebuilt == shrunk.minimal
+        """The emitted config, evaluated under the reproducer's own
+        imports, equals the minimal config: for a corrupted kernel draw,
+        for one that keeps a non-default runtime record and a fault, and
+        for a serve draw."""
+        def needs_stall_without_unroll(config):
+            return (not config.runtime.loop_unroll and any(
+                f.kind is FaultKind.DEVICE_STALL for f in config.faults))
+
+        serve = FuzzConfig(seed=3, serve=ServeConfig(
+            seed=3, requests=160, arrival="burst", machine="cpu+2gpu",
+            n_tenants=3, fault_seed=5, jitter_seed=77))
+        cases = [
+            (noisy_config(), lambda c: c.corruption is not None),
+            (noisy_config(corruption=None), needs_stall_without_unroll),
+            (serve, lambda c: c.serve.arrival == "burst"),
+        ]
+        for config, predicate in cases:
+            shrunk = shrink(config, run_fn=stub_runner(predicate))
+            source = reproducer_source(shrunk)
+            namespace = {}
+            exec(compile(source, "<reproducer>", "exec"), namespace)
+            assert len([k for k in namespace if k.startswith("test_")]) == 1
+            assign = next(node for node in ast.walk(ast.parse(source))
+                          if isinstance(node, ast.Assign)
+                          and node.targets[0].id == "config")
+            rebuilt = eval(ast.get_source_segment(source, assign.value),
+                           namespace)
+            assert rebuilt == shrunk.minimal, source
 
     def test_source_documents_the_failure_and_steps(self):
         shrunk = self.shrunk()
@@ -129,7 +145,7 @@ class TestReproducerEmission:
         shrunk = shrink(noisy_config(corruption=None),
                         run_fn=stub_runner(needs_stall))
         source = reproducer_source(shrunk)
-        assert "FaultSpec(FaultKind.DEVICE_STALL" in source
+        assert "FaultSpec(kind=FaultKind.DEVICE_STALL" in source
         assert "from repro.faults import FaultKind, FaultSpec" in source
         compile(source, "<reproducer>", "exec")
 

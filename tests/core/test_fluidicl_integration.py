@@ -183,8 +183,8 @@ class TestReadPaths:
 
 class TestConfigToggles:
     @pytest.mark.parametrize("config", [
-        FluidiCLConfig.no_abort_in_loops(),
-        FluidiCLConfig.no_unroll(),
+        FluidiCLConfig(abort_in_loops=False),
+        FluidiCLConfig(loop_unroll=False),
         FluidiCLConfig(cpu_wg_split=False),
         FluidiCLConfig(use_buffer_pool=False),
         FluidiCLConfig(initial_chunk_fraction=0.5),
@@ -203,8 +203,8 @@ class TestConfigToggles:
             )
             return runtime.machine.now
 
-        assert total_time(FluidiCLConfig.no_unroll()) > total_time(
-            FluidiCLConfig.all_optimizations()
+        assert total_time(FluidiCLConfig(loop_unroll=False)) > total_time(
+            FluidiCLConfig()
         )
 
 

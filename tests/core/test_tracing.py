@@ -13,7 +13,6 @@ import pytest
 from repro.core.pool import ALLOC_BYTE_OVERHEAD, ALLOC_FIXED_OVERHEAD
 from repro.core.runtime import FluidiCLRuntime
 from repro.harness.runner import measure_app
-from repro.harness.timeline import extract_spans
 from repro.hw.machine import build_machine
 from repro.obs import (
     EventKind,
@@ -199,7 +198,7 @@ class TestTracedRun:
         come from the identical paired stream — same count, same extent."""
         machine, _ = _traced_run()
         recorder = machine.tracer
-        gantt_spans = extract_spans(recorder)
+        gantt_spans = recorder.command_spans()
         chrome_commands = [
             e for e in to_chrome_trace(recorder)["traceEvents"]
             if e["ph"] == "X" and e["cat"] == "command"

@@ -1,10 +1,10 @@
-"""Tests for timeline extraction — including the §5.5 overlap property."""
+"""Tests for the command-span timeline — including the §5.5 overlap property."""
 
 import numpy as np
 import pytest
 
 from repro.core.runtime import FluidiCLRuntime
-from repro.harness.timeline import extract_spans, render_gantt
+from repro.harness.timeline import render_gantt
 from repro.hw.machine import build_machine
 from repro.obs import EventKind, EventRecorder, EventSpan
 from repro.ocl.ndrange import NDRange
@@ -37,16 +37,8 @@ class TestSpanMechanics:
         recorder.record(1.0, "cmd_end", payload)
         recorder.record(1.0, "cmd_start", payload)
         recorder.record(3.0, "cmd_end", payload)
-        spans = extract_spans(recorder)
+        spans = recorder.command_spans()
         assert [(s.start, s.end) for s in spans] == [(0.0, 1.0), (1.0, 3.0)]
-
-    def test_kind_filter(self):
-        recorder = EventRecorder()
-        recorder.record(0.0, "cmd_start", {"queue": "q", "type": "a"})
-        recorder.record(1.0, "cmd_end", {"queue": "q", "type": "a"})
-        recorder.record(1.0, "cmd_start", {"queue": "q", "type": "b"})
-        recorder.record(2.0, "cmd_end", {"queue": "q", "type": "b"})
-        assert len(extract_spans(recorder, kinds=["a"])) == 1
 
     def test_render_empty(self):
         assert "empty" in render_gantt([])
@@ -80,7 +72,7 @@ class TestFluidiclOverlap:
     def test_cpu_results_transfer_overlaps_gpu_compute(self):
         """§5.5: hd-queue transfers proceed while the GPU kernel runs."""
         machine, _runtime = self._traced_run()
-        spans = extract_spans(machine.tracer)
+        spans = machine.tracer.command_spans()
         gpu_kernels = [
             s for s in spans
             if s.track == "fluidicl-app"
@@ -100,7 +92,8 @@ class TestFluidiclOverlap:
         """The essence of cooperative execution: both devices compute at
         the same simulated time."""
         machine, _runtime = self._traced_run()
-        spans = extract_spans(machine.tracer, kinds=["ndrange_kernel"])
+        spans = [s for s in machine.tracer.command_spans()
+                 if s.attrs["type"] == "ndrange_kernel"]
         gpu = [s for s in spans if s.track == "fluidicl-app"]
         cpu = [s for s in spans if s.track == "fluidicl-w1"]
         assert gpu and cpu
@@ -109,6 +102,6 @@ class TestFluidiclOverlap:
 
     def test_gantt_renders_all_queues(self):
         machine, _runtime = self._traced_run()
-        chart = render_gantt(extract_spans(machine.tracer))
+        chart = render_gantt(machine.tracer.command_spans())
         for queue in ("fluidicl-app", "fluidicl-w1", "fluidicl-hd"):
             assert queue in chart

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hw.interconnect import InterconnectSpec, transfer_time
+from repro.hw.interconnect import InterconnectSpec
 from repro.hw.specs import HOST_DDR3, PCIE_GEN2_X16
 
 
@@ -18,9 +18,6 @@ class TestInterconnect:
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
             PCIE_GEN2_X16.transfer_time(-1)
-
-    def test_functional_alias(self):
-        assert transfer_time(PCIE_GEN2_X16, 1024) == PCIE_GEN2_X16.transfer_time(1024)
 
     def test_validation(self):
         with pytest.raises(ValueError):
